@@ -12,8 +12,9 @@ runs untraced rounds for half the time, then the same number of traced
 rounds, and reports the per-layer metrics and the tracing overhead.  Spans
 and per-operation latencies go to ``perfbench/out/``.
 
-Exit codes: 0 when every output is correct, 1 when a check fails, 2 when the
-benchmark cannot run (no costrec sources next to it, or a bad argument).
+Exit codes: 0 when every output is correct, 1 when a check fails or an
+operation raises, 2 when the benchmark cannot run (no costrec sources next
+to it, or a bad argument).
 """
 
 import argparse
@@ -145,11 +146,13 @@ def run_pass(workload, tally: Tally, rounds=None, seconds=None, tracer=None):
             try:
                 out, took, scaled = timed(run)
             except Exception as exc:
-                # a fault of the program: the operation counts as failed
+                # no operation of a workload may raise: one that does is a
+                # fault of the program, and its missing time would read as
+                # a speed-up, so it fails the run
                 tally.failed += 1
                 print(f"perfbench: {op.label} failed: {type(exc).__name__}: {exc}",
                       file=sys.stderr)
-                continue
+                return False
             tally.seconds += took
             tally.scaled_s += scaled
             tally.units += op.units

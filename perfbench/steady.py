@@ -1,20 +1,19 @@
 """Steadiness check for the benchmark in BENCHMARK.json.
 
-    python3 perfbench/steady.py [--runs 10] [--workload NAME ...]
+    python3 perfbench/steady.py
 
-Runs each workload ``--runs`` times on seeds 1, 2, ... for the
-``run_seconds`` of BENCHMARK.json, and prints for every end-to-end metric
-its median and its spread (the distance between the first and third
-quartile as a share of the median) beside the metric's bound.  Then it
-runs each workload once more per ``PYTHONHASHSEED`` in (0, 1), untraced and
-traced on the same seed, and checks that ``rec_nodes`` and every per-layer
-``.calls`` count repeat exactly.  Exits 1 if a run fails, a spread reaches
-its bound, or a count does not repeat.
+Runs every workload of BENCHMARK.json ten times, on seeds 1 to 10, for its
+``run_seconds``, and prints for every end-to-end metric its median and its
+spread (the distance between the first and third quartile as a share of
+the median) beside the metric's bound.  Then it runs each workload once
+more per ``PYTHONHASHSEED`` in (0, 1), untraced and traced on the same
+seed, and checks that ``rec_nodes`` and every per-layer ``.calls`` count
+repeat exactly.  Exits 1 if a run fails or has a failed operation, a
+spread reaches its bound, or a count does not repeat.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -24,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+RUNS = 10
 
 
 def run_once(spec, workload: str, seed: int, seconds, trace: int, hash_seed=None) -> dict:
@@ -48,29 +48,22 @@ def spread(values: list[float]) -> float:
     return (q3 - q1) / statistics.median(values)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workload", action="append",
-                        help="workload to check (default: all)")
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    names = args.workload or [w["name"] for w in spec["workloads"]]
     ok = True
-    for name in names:
-        results = [run_once(spec, name, seed, seconds, 0)
-                   for seed in range(1, args.runs + 1)]
-        shares = {r["failed"] / r["attempted"] for r in results}
-        print(f"{name}: {args.runs} runs of {seconds} s, failed share {sorted(shares)}")
-        if len(shares) != 1:
+    for name in [w["name"] for w in spec["workloads"]]:
+        results = [run_once(spec, name, seed, seconds, 0) for seed in range(1, RUNS + 1)]
+        failed = sum(r["failed"] for r in results)
+        print(f"{name}: {RUNS} runs of {seconds} s, {failed} failed operations")
+        if failed:
             ok = False
         for metric in spec["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in results]
-            s = spread(values) if len(values) > 2 else float("nan")
+            s = spread(values)
             bound = metric["bound"]
             verdict = "ok" if s < bound / 3 else "within bound" if s < bound else "TOO WIDE"
-            if metric["name"] != "setup_s" and s >= bound:
+            if s >= bound:
                 ok = False
             print(f"  {metric['name']:14s} median {statistics.median(values):12.4f} "
                   f"{metric['unit']:6s} spread {s:7.2%}  bound {bound:5.0%}  {verdict}")

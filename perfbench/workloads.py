@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from costrec import cli
 from costrec import cost_eval as E
 from costrec import extract as X
 from costrec import harness as H
 from costrec import models as M
 from costrec import rec_lang as R
-from costrec import semdom as D
 from costrec import source_ast as SA
 from costrec import typecheck as T
 
@@ -183,17 +183,11 @@ def analyze(text: str, fn: str, model_name: str, args: tuple) -> tuple[str, str]
     the denoted bound applied to input potentials given as main
     constructor counts (``"inf"`` for the top potential).
     """
-    prepared = H.prepare(front_end(text), fn, (model_name,))
+    checked = front_end(text)
+    prepared = H.prepare(checked, fn, (model_name,))
     model, base_cost, pot = prepared.denoted[model_name]
-    arg_pots = []
-    for n, ty in zip(args, prepared.arg_types):
-        pot_ty = X.potential_type(ty)
-        if n == "inf":
-            arg_pots.append(model.top(pot_ty))
-        elif model_name in ("allcons", "merged"):
-            arg_pots.append(M.galois_conc(pot_ty, D.SNum("size", D.ext(n))))
-        else:
-            arg_pots.append(D.SNum("size", D.ext(n)))
+    arg_pots = [cli._parse_at(str(n), model, ty, checked.program)
+                for n, ty in zip(args, prepared.arg_types)]
     cost, final = H.apply_bound(model, base_cost, pot, arg_pots)
     return str(cost), str(final)
 
