@@ -1,7 +1,9 @@
 """Command line front door.
 
 Subcommands: check | eval | extract | analyze | verify.  Exit codes: 0 on
-success, 1 on an analysis failure or counterexample, 2 on usage errors.
+success, 1 on an analysis failure or counterexample, 2 on usage errors.  An
+analysis failure prints one line on stderr (a JSON error document under
+``--json``), never a traceback.
 """
 
 from __future__ import annotations
@@ -11,15 +13,21 @@ import json
 import sys
 
 from . import source_ast as S
-from .cost_eval import eval_expr, program_env
-from .extract import extract_program, potential_type
-from .harness import TrialConfig, verify_bound, DEFAULT_MODELS, prepare, apply_bound
-from .models import (
-    MODEL_NAMES, galois_abs, galois_conc, make_model, value_potential,
+from .cost_eval import EvalError, eval_expr, program_env
+from .extract import ExtractError, extract_program, potential_type
+from .harness import (
+    DEFAULT_MODELS, HarnessError, TrialConfig, apply_bound, prepare, verify_bound,
 )
-from .rec_lang import RInd, pretty_rec, pretty_rec_type, simplify
-from .semdom import SMap, SNum, SizeMap, ext, INF
+from .models import MODEL_NAMES, ModelError, galois_abs, galois_conc, value_potential
+from .rec_lang import RInd, RecTypeError, pretty_rec, pretty_rec_type, simplify
+from .semdom import INF, SMap, SNum, SizeMap, UnsupportedFeature, ext
 from .typecheck import SrcTypeError, check_program
+
+# failures of an analysis, reported with exit code 1 and no traceback
+ANALYSIS_ERRORS = (
+    ModelError, HarnessError, EvalError, ExtractError, RecTypeError,
+    UnsupportedFeature, RecursionError,
+)
 
 
 def _load(path: str):
@@ -139,7 +147,6 @@ def _show_potential(model, pot, arg_ty) -> str:
 
 def cmd_analyze(args) -> int:
     program, checked = _load(args.file)
-    model = make_model(args.model)
     inst = S.parse_type(args.inst, program.datatypes) if args.inst else None
     prepared = prepare(checked, args.fn, (args.model,), instantiate_at=inst)
     if args.model in prepared.skipped:
@@ -248,12 +255,20 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (S.SourceError, SrcTypeError) as exc:
-        if getattr(args, "json", False):
-            doc = {"error": exc.msg, "line": exc.line, "column": exc.col}
-            print(json.dumps(doc, sort_keys=True, indent=2), file=sys.stderr)
-        else:
-            print(f"costrec: {exc}", file=sys.stderr)
+        _report_error(args, str(exc), {"error": exc.msg, "line": exc.line, "column": exc.col})
         return 1
+    except ANALYSIS_ERRORS as exc:
+        kind = type(exc).__name__
+        msg = " ".join(str(exc).split()) or kind
+        _report_error(args, f"{kind}: {msg}", {"error": msg, "kind": kind})
+        return 1
+
+
+def _report_error(args, line: str, doc: dict) -> None:
+    if getattr(args, "json", False):
+        print(json.dumps(doc, sort_keys=True, indent=2), file=sys.stderr)
+    else:
+        print(f"costrec: {line}", file=sys.stderr)
 
 
 if __name__ == "__main__":

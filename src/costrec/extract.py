@@ -4,9 +4,11 @@ type.
 
 Every extracted term is a complexity: a pair whose first component bounds
 evaluation cost and whose second component (the potential) bounds the value.
-Extraction is derivation-directed: it consumes the elaboration produced by
-the typechecker (recorded instantiations, generalized let variables, branch
-types).
+Extraction is in A-normal form: a subterm whose cost and potential are both
+needed is bound once with ``let`` instead of being copied, so an extracted
+term is a chain of lets that ends in a literal pair.  Extraction is
+derivation-directed: it consumes the elaboration produced by the typechecker
+(recorded instantiations, generalized let variables, branch types).
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from . import source_ast as S
 from . import typecheck as T
 from .rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecExpr, RecShape, RecType,
-    RFold, RInd, RInj, RLam, ROne, RPair, RPlus, RProd, RProj, RSArrow,
+    RFold, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd, RProj, RSArrow,
     RSConst, RSProd, RSRec, RSSum, RSum, RTVar, RTyApp, RTyLam, RUnit,
-    RUnitE, RVar, RZero, RForall, rec_gensym, subst_rec, subst_rec_shape,
+    RUnitE, RVar, RZero, RForall, rec_free_vars, rec_gensym,
+    subst_rec_shape, subst_rec_type_in_expr,
 )
 
 
@@ -32,23 +35,9 @@ class ExtractError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# Cache keyed by object identity: type objects are immutable and their
-# unification holes are stable once a program has been checked, and identity
-# keys avoid hashing deep structures on every call.
-_POTENTIAL_CACHE: dict = {}
-_POTENTIAL_KEEP: list = []
-
-
 def potential_type(ty: S.SrcType) -> RecType:
     """The potential translation: sizes of source values of this type."""
-    key = id(ty)
-    hit = _POTENTIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _potential_type(S.resolve_holes(ty))
-    _POTENTIAL_CACHE[key] = out
-    _POTENTIAL_KEEP.append(ty)
-    return out
+    return S.type_memo(ty, "_potential", lambda t: _potential_type(S.resolve_holes(t)))
 
 
 def _potential_type(ty: S.SrcType) -> RecType:
@@ -98,16 +87,11 @@ def scheme_potential(scheme: S.TypeScheme) -> RecType:
 
 
 # ---------------------------------------------------------------------------
-# The "adding cost" macro
+# The "adding cost" macro and let-floating
 # ---------------------------------------------------------------------------
 
 
-def cost_of(e: RecExpr) -> RecExpr:
-    return e.left if isinstance(e, RPair) else RProj(0, e)
-
-
-def potential_of(e: RecExpr) -> RecExpr:
-    return e.right if isinstance(e, RPair) else RProj(1, e)
+Bindings = list[tuple[str, RecExpr]]  # let binders in scope order, outermost first
 
 
 def _plus(a: RecExpr, b: RecExpr) -> RecExpr:
@@ -118,12 +102,45 @@ def _plus(a: RecExpr, b: RecExpr) -> RecExpr:
     return RPlus(a, b)
 
 
-def add_cost(c: RecExpr, e: RecExpr) -> RecExpr:
-    """``c +c E`` = (c + E_c, E_p).  When E is a literal pair the components
-    are taken directly, which is the projection beta law every model
-    validates as an equality.
+def _charge(c: RecExpr, e: RecExpr, binds: Bindings) -> RPair:
+    """``c +c E`` = (c + E_c, E_p).  A literal pair gives its components
+    directly (the projection beta law, an equality in every model); any
+    other E but a variable is bound to a fresh one, so it is not copied.
     """
-    return RPair(_plus(c, cost_of(e)), potential_of(e))
+    if isinstance(e, RPair):
+        return RPair(_plus(c, e.left), e.right)
+    if isinstance(e, RVar):
+        v = e.name
+    else:
+        v = rec_gensym("v")
+        binds.append((v, e))
+    return RPair(_plus(c, RProj(0, RVar(v))), RProj(1, RVar(v)))
+
+
+def add_cost(c: RecExpr, e: RecExpr) -> RecExpr:
+    """``c +c E`` on a complexity term.  The cost is added in the pair that
+    ends E's chain of lets.
+    """
+    binds: Bindings = []
+    while isinstance(e, RLet):
+        binds.append((e.binder, e.bound))
+        e = e.body
+    return _close(binds, _charge(c, e, binds))
+
+
+def _close(binds: Bindings, body: RecExpr) -> RecExpr:
+    """Wrap ``body`` in the lets it uses, directly or through other lets.
+    A later binder shadows an earlier one of the same name.
+    """
+    needed = rec_free_vars(body)
+    used: Bindings = []
+    for x, bound in reversed(binds):
+        if x in needed:
+            needed = (needed - {x}) | rec_free_vars(bound)
+            used.append((x, bound))
+    for x, bound in used:
+        body = RLet(x, bound, body)
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -133,62 +150,88 @@ def add_cost(c: RecExpr, e: RecExpr) -> RecExpr:
 
 def extract_expr(e: S.SrcExpr, elab: T.Elab) -> RecExpr:
     """Extract the complexity of a core, well-typed expression.  The result
-    is always syntactically a pair.
+    is a chain of lets that ends in a literal pair.
+    """
+    return _scoped(e, elab, {})
+
+
+def _scoped(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str]) -> RecExpr:
+    """Extract ``e`` as a scope of its own: the lets of its operands float up
+    to here and no further.  Lambda bodies, case branches, fold steps and
+    delayed bodies are scopes, so no let leaves a binder or moves work
+    across a suspension.
+    """
+    binds: Bindings = []
+    return _close(binds, _extract(e, elab, ren, binds))
+
+
+def _shadow(ren: dict[str, str], x: str) -> dict[str, str]:
+    if x not in ren:
+        return ren
+    return {k: v for k, v in ren.items() if k != x}
+
+
+def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
+             binds: Bindings) -> RPair:
+    """The complexity of ``e`` as a literal pair, appending the lets it needs
+    to ``binds``.  ``ren`` maps source let variables to the recurrence
+    variables bound for them; every let binder is fresh, so floating a let
+    outward cannot capture a variable.
     """
     match e:
         case S.Var(name, _):
-            args = elab.instantiations.get(id(e), ())
-            pot: RecExpr = RVar(name)
-            for ty in args:
+            pot: RecExpr = RVar(ren.get(name, name))
+            for ty in elab.instantiations.get(id(e), ()):
                 pot = RTyApp(pot, potential_type(ty))
             return RPair(RZero(), pot)
         case S.Unit():
             return RPair(RZero(), RUnitE())
         case S.Pair(l, r):
-            el, er = extract_expr(l, elab), extract_expr(r, elab)
-            return RPair(_plus(cost_of(el), cost_of(er)),
-                         RPair(potential_of(el), potential_of(er)))
+            el = _extract(l, elab, ren, binds)
+            er = _extract(r, elab, ren, binds)
+            return RPair(_plus(el.left, er.left), RPair(el.right, er.right))
         case S.Proj(i, a):
-            ea = extract_expr(a, elab)
-            return RPair(cost_of(ea), RProj(i, potential_of(ea)))
+            ea = _extract(a, elab, ren, binds)
+            return RPair(ea.left, RProj(i, ea.right))
         case S.Inj(i, ann, a):
-            ea = extract_expr(a, elab)
+            ea = _extract(a, elab, ren, binds)
             ann_pot = potential_type(elab.types[id(e)])
-            return RPair(cost_of(ea), RInj(i, ann_pot, potential_of(ea)))
+            return RPair(ea.left, RInj(i, ann_pot, ea.right))
         case S.Case(scrut, x0, b0, x1, b1):
-            es = extract_expr(scrut, elab)
+            es = _extract(scrut, elab, ren, binds)
             scrut_ty = T.zonk(elab.types[id(scrut)])
             if not isinstance(scrut_ty, S.TSum):
                 raise ExtractError("case scrutinee is not a sum")
             case_e = RCase(
-                potential_of(es),
-                x0, potential_type(scrut_ty.left), extract_expr(b0, elab),
-                x1, potential_type(scrut_ty.right), extract_expr(b1, elab),
+                es.right,
+                x0, potential_type(scrut_ty.left), _scoped(b0, elab, _shadow(ren, x0)),
+                x1, potential_type(scrut_ty.right), _scoped(b1, elab, _shadow(ren, x1)),
             )
-            return add_cost(cost_of(es), case_e)
+            return _charge(es.left, case_e, binds)
         case S.Lam(x, ann, body):
-            return RPair(RZero(), RLam(x, potential_type(ann), extract_expr(body, elab)))
+            return RPair(RZero(), RLam(x, potential_type(ann),
+                                       _scoped(body, elab, _shadow(ren, x))))
         case S.App(f, a):
-            ef, ea = extract_expr(f, elab), extract_expr(a, elab)
-            return add_cost(_plus(cost_of(ef), cost_of(ea)),
-                            RApp(potential_of(ef), potential_of(ea)))
+            ef = _extract(f, elab, ren, binds)
+            ea = _extract(a, elab, ren, binds)
+            return _charge(_plus(ef.left, ea.left), RApp(ef.right, ea.right), binds)
         case S.Delay(body):
-            return RPair(RZero(), extract_expr(body, elab))
+            return RPair(RZero(), _scoped(body, elab, ren))
         case S.Force(a):
-            ea = extract_expr(a, elab)
-            return add_cost(cost_of(ea), potential_of(ea))
+            ea = _extract(a, elab, ren, binds)
+            return _charge(ea.left, ea.right, binds)
         case S.Cons(ann, a):
-            ea = extract_expr(a, elab)
+            ea = _extract(a, elab, ren, binds)
             delta = potential_type(T.zonk(elab.types[id(e)]))
             assert isinstance(delta, RInd)
-            return RPair(cost_of(ea), RConsE(delta, potential_of(ea)))
+            return RPair(ea.left, RConsE(delta, ea.right))
         case S.Dest(ann, a):
-            ea = extract_expr(a, elab)
+            ea = _extract(a, elab, ren, binds)
             delta = potential_type(T.zonk(elab.types[id(a)]))
             assert isinstance(delta, RInd)
-            return RPair(cost_of(ea), RDestE(delta, potential_of(ea)))
+            return RPair(ea.left, RDestE(delta, ea.right))
         case S.Fold(ann, scrut, x, body, res):
-            es = extract_expr(scrut, elab)
+            es = _extract(scrut, elab, ren, binds)
             delta_src = T.zonk(elab.types[id(scrut)])
             if not isinstance(delta_src, S.TInd):
                 raise ExtractError("fold scrutinee is not an inductive type")
@@ -196,17 +239,25 @@ def extract_expr(e: S.SrcExpr, elab: T.Elab) -> RecExpr:
             assert isinstance(delta, RInd)
             res_cpx = complexity_type(T.zonk(elab.types[id(e)]))
             binder_ann = subst_rec_shape(delta.functor, res_cpx)
-            step = add_cost(ROne(), extract_expr(body, elab))
-            return add_cost(
-                cost_of(es),
-                RFold(delta, potential_of(es), x, binder_ann, step),
-            )
+            step = add_cost(ROne(), _scoped(body, elab, _shadow(ren, x)))
+            return _charge(es.left, RFold(delta, es.right, x, binder_ann, step), binds)
         case S.Let(x, bound, body):
-            eb = extract_expr(bound, elab)
             gen = elab.let_generalized.get(id(e), ())
-            pot = _generalize(potential_of(eb), gen)
-            ebody = extract_expr(body, elab)
-            return add_cost(cost_of(eb), subst_rec(ebody, x, pot))
+            if gen:
+                # the bound's lets mention the generalized type variables, so
+                # the potential keeps its own copy of them inside the type
+                # abstraction; the copy left outside pays the bound's cost
+                inner: Bindings = []
+                eb = _extract(bound, elab, ren, inner)
+                pot = _generalize(_close(inner, eb.right), gen)
+                binds.extend(inner)
+            else:
+                eb = _extract(bound, elab, ren, binds)
+                pot = eb.right
+            x2 = rec_gensym(x)
+            binds.append((x2, pot))
+            ebody = _extract(body, elab, {**ren, x: x2}, binds)
+            return RPair(_plus(eb.left, ebody.left), ebody.right)
         case S.MapE() | S.MapV():
             raise ExtractError("extraction is defined only for the core language")
     raise ExtractError(f"not an expression: {e!r}")
@@ -214,11 +265,9 @@ def extract_expr(e: S.SrcExpr, elab: T.Elab) -> RecExpr:
 
 def _generalize(pot: RecExpr, gen: tuple[str, ...]) -> RecExpr:
     """Wrap a potential in type lambdas over the generalized variables,
-    freshening their names so the result can be substituted under binders
-    that mention same-named type variables.
+    freshening their names so the result can be used under binders that
+    mention same-named type variables.
     """
-    from .rec_lang import subst_rec_type_in_expr
-
     if not gen:
         return pot
     fresh = {a: RTVar(rec_gensym(a)) for a in gen}
@@ -237,9 +286,9 @@ def _generalize(pot: RecExpr, gen: tuple[str, ...]) -> RecExpr:
 class ExtractedBinding:
     name: str
     scheme: S.TypeScheme
-    complexity: RecExpr  # closed term: earlier bindings substituted in
+    complexity: RecExpr  # closed: the earlier bindings it uses are let-bound around it
     complexity_ty: RecType  # C x potential of the scheme body (scheme vars free)
-    potential: RecExpr  # tylam-wrapped potential, as substituted for the name
+    potential: RecExpr  # closed, tylam-wrapped potential
     potential_ty: RecType  # forall-quantified potential type
 
 
@@ -251,30 +300,27 @@ class ExtractedProgram:
 
 def extract_program(checked: T.CheckedProgram) -> ExtractedProgram:
     """Extract every top-level binding.  Bindings are treated as nested lets:
-    each extracted recurrence has earlier bindings' potentials substituted
-    in, so each is closed.
+    each extracted term is closed by let-binding the potentials of the
+    earlier bindings it uses, directly or through one another.
     """
     out: dict[str, ExtractedBinding] = {}
-    subst_map: dict[str, RecExpr] = {}
+    earlier: Bindings = []  # each binding's potential, free in earlier names
     elab = checked.elab
     for name, expr in checked.program.bindings:
-        cpx = extract_expr(expr, elab)
-        for prev, pot in subst_map.items():
-            cpx = subst_rec(cpx, prev, pot)
+        binds: Bindings = []
+        tail = _extract(expr, elab, {}, binds)
         scheme = checked.schemes[name]
-        pot = _generalize(potential_of(cpx), scheme.bound)
+        pot = _generalize(_close(binds, tail.right), scheme.bound)
         out[name] = ExtractedBinding(
             name=name,
             scheme=scheme,
-            complexity=cpx,
+            complexity=_close(earlier, _close(binds, tail)),
             complexity_ty=RProd(RC(), potential_type(scheme.body)),
-            potential=pot,
+            potential=_close(earlier, pot),
             potential_ty=scheme_potential(scheme),
         )
-        subst_map[name] = pot
+        earlier.append((name, pot))
     main = None
     if checked.program.main is not None:
-        main = extract_expr(checked.program.main, elab)
-        for prev, pot in subst_map.items():
-            main = subst_rec(main, prev, pot)
+        main = _close(earlier, extract_expr(checked.program.main, elab))
     return ExtractedProgram(out, main)

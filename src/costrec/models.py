@@ -36,7 +36,7 @@ from . import source_ast as S
 from .extract import potential_type
 from .rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecExpr, RecShape,
-    RecType, RFold, RForall, RInd, RInj, RLam, ROne, RPair, RPlus, RProd,
+    RecType, RFold, RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd,
     RProj, RSArrow, RSConst, RSProd, RSRec, RSSum, RSum, RTVar, RTyApp,
     RTyLam, RUnit, RUnitE, RVar, RZero, check_rec, pretty_rec_type,
     rec_free_vars, subst_rec_shape, subst_rtyvars, quantifier_free,
@@ -966,6 +966,8 @@ def denote(model: Model, env: SemEnv, e: RecExpr, elab: RecElab) -> SemValue:
             key = (id(e), frozenset(env.tyvars.items()),
                    _env_fingerprint(env, rec_free_vars(b) - {x}))
             return model.fold(delta, result_ty, step, scrut, cache_key=key)
+        case RLet(x, a, b):
+            return denote(model, env.with_val(x, denote(model, env, a, elab)), b, elab)
     raise ModelError(f"not a recurrence expression: {e!r}")
 
 
@@ -985,37 +987,17 @@ def denote_closed(model: Model, e: RecExpr) -> SemValue:
 # ---------------------------------------------------------------------------
 
 
-_RESOLVE_CACHE: dict = {}
-_RESOLVE_KEEP: list = []
-
-
 def _resolved(ty: S.SrcType) -> S.SrcType:
-    """resolve_holes with an identity cache.  Only safe after checking has
+    """resolve_holes, remembered on the type.  Only safe after checking has
     finished (hole solutions are stable by then), which is the only time the
     models run.
     """
-    key = id(ty)
-    hit = _RESOLVE_CACHE.get(key)
-    if hit is None:
-        hit = S.resolve_holes(ty)
-        _RESOLVE_CACHE[key] = hit
-        _RESOLVE_KEEP.append(ty)
-    return hit
-
-
-_OBSERVABLE_CACHE: dict = {}
-_OBSERVABLE_KEEP: list = []
+    return S.type_memo(ty, "_resolved", S.resolve_holes)
 
 
 def observable(ty: S.SrcType) -> bool:
     """First-order types at which bounding can be checked mechanically."""
-    key = id(ty)
-    hit = _OBSERVABLE_CACHE.get(key)
-    if hit is None:
-        hit = _observable(_resolved(ty))
-        _OBSERVABLE_CACHE[key] = hit
-        _OBSERVABLE_KEEP.append(ty)
-    return hit
+    return S.type_memo(ty, "_observable", lambda t: _observable(_resolved(t)))
 
 
 def _observable(ty: S.SrcType) -> bool:
@@ -1043,18 +1025,8 @@ def _observable_shape(f: S.ShapeFunctor) -> bool:
     return False
 
 
-_UNFOLD_CACHE: dict = {}
-_UNFOLD_KEEP: list = []
-
-
 def _unfolded(ty: S.TInd) -> S.SrcType:
-    key = id(ty)
-    hit = _UNFOLD_CACHE.get(key)
-    if hit is None:
-        hit = S.subst_shape(ty.functor, ty)
-        _UNFOLD_CACHE[key] = hit
-        _UNFOLD_KEEP.append(ty)
-    return hit
+    return S.type_memo(ty, "_unfolded", lambda t: S.subst_shape(t.functor, t))
 
 
 def value_potential(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:

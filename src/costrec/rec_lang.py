@@ -3,12 +3,14 @@ a cost type C (a monoid with 0, 1, +), inductive types with a typed fold
 term former, explicit type abstraction/application, and the structural map
 macro used by the fold beta law.
 
-``let`` is metalanguage substitution here, not a binder, so there is no let
-node; construction sites substitute eagerly.  The simplifier rewrites only
-the size-order axioms that every shipped model interprets as equalities
-(projection, case-of-injection and function beta, monoid identities and
-associativity); the datatype and quantifier beta laws are genuine
-inequalities under size abstraction and are never rewritten.
+``let x = a in b`` binds the value of ``a`` once; every model denotes it as
+``b`` in the environment extended with ``a``'s denotation, so it is equal to
+the substitution ``b[a/x]`` but shares ``a`` instead of copying it.  The
+simplifier rewrites only the size-order axioms that every shipped model
+interprets as equalities (projection, case-of-injection and function beta,
+monoid identities and associativity, and let inlining); the datatype and
+quantifier beta laws are genuine inequalities under size abstraction and
+are never rewritten.
 """
 
 from __future__ import annotations
@@ -313,6 +315,13 @@ class RFold(RecExpr):
     body: RecExpr
 
 
+@dataclass(frozen=True, eq=False)
+class RLet(RecExpr):
+    binder: str
+    bound: RecExpr
+    body: RecExpr
+
+
 def rec_free_vars(e: RecExpr) -> set[str]:
     match e:
         case RVar(n):
@@ -331,7 +340,7 @@ def rec_free_vars(e: RecExpr) -> set[str]:
             return rec_free_vars(f) | rec_free_vars(a)
         case RTyLam(_, b):
             return rec_free_vars(b)
-        case RFold(_, s, x, _, b):
+        case RFold(_, s, x, _, b) | RLet(x, s, b):
             return rec_free_vars(s) | (rec_free_vars(b) - {x})
     raise RecTypeError(f"not a recurrence expression: {e!r}")
 
@@ -376,6 +385,10 @@ def subst_rec(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
                 s2 = go(s, name, value)
                 xb, bb = _under(x, b, name, value, fv)
                 return RFold(t, s2, xb, xt, bb)
+            case RLet(x, a, b):
+                a2 = go(a, name, value)
+                xb, bb = _under(x, b, name, value, fv)
+                return RLet(xb, a2, bb)
         raise RecTypeError(f"not a recurrence expression: {e!r}")
 
     def _under(binder: str, body: RecExpr, name: str, value: RecExpr, fv: set[str]):
@@ -428,6 +441,8 @@ def subst_rec_type_in_expr(e: RecExpr, mapping: dict[str, RecType]) -> RecExpr:
         case RFold(t, s, x, xt, b):
             return RFold(st(t), subst_rec_type_in_expr(s, mapping), x, st(xt),
                          subst_rec_type_in_expr(b, mapping))
+        case RLet(x, a, b):
+            return RLet(x, subst_rec_type_in_expr(a, mapping), subst_rec_type_in_expr(b, mapping))
     raise RecTypeError(f"not a recurrence expression: {e!r}")
 
 
@@ -553,6 +568,8 @@ def _check_node(ctx: dict[str, RecType], e: RecExpr, elab: RecElab) -> RecType:
                     "fold binder annotation is not F[sigma] for the body's result type"
                 )
             return tb
+        case RLet(x, a, b):
+            return _check({**ctx, x: _check(ctx, a, elab)}, b, elab)
     raise RecTypeError(f"not a recurrence expression: {e!r}")
 
 
@@ -653,9 +670,13 @@ SIMPLIFY_BUDGET = 200_000
 def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
     """Normal form under the directed rewrites that are equalities in every
     shipped model: projection beta, case-of-injection beta, function beta,
-    and the cost-monoid identity and associativity laws.  The datatype and
-    quantifier laws are strict inequalities under abstraction and are left
-    alone.
+    the cost-monoid identity and associativity laws, and let inlining.  The
+    datatype and quantifier laws are strict inequalities under abstraction
+    and are left alone.
+
+    The beta laws bind their argument with ``let`` rather than substituting
+    it, and a ``let`` is inlined only when its variable occurs at most once
+    or its bound term is a variable or literal, so no rewrite copies a term.
     """
     budget = _budget if _budget is not None else [SIMPLIFY_BUDGET]
 
@@ -685,7 +706,7 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
                 if isinstance(s2, RInj):  # beta-plus
                     spend()
                     x, b = (x0, b0) if s2.index == 0 else (x1, b1)
-                    return norm(subst_rec(b, x, s2.arg))
+                    return let(x, s2.arg, norm(b))
                 return RCase(s2, x0, t0, norm(b0), x1, t1, norm(b1))
             case RLam(x, t, b):
                 return RLam(x, t, norm(b))
@@ -693,7 +714,7 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
                 f2, a2 = norm(f), norm(a)
                 if isinstance(f2, RLam):  # beta-to
                     spend()
-                    return norm(subst_rec(f2.body, f2.binder, a2))
+                    return let(f2.binder, a2, f2.body)
                 return RApp(f2, a2)
             case RTyLam(v, b):
                 return RTyLam(v, norm(b))
@@ -705,9 +726,46 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
                 return RDestE(t, norm(a))  # beta-delta is a strict inequality
             case RFold(t, s, x, xt, b):
                 return RFold(t, norm(s), x, xt, norm(b))  # beta-fold likewise
+            case RLet(x, a, b):
+                return let(x, norm(a), norm(b))
         raise RecTypeError(f"not a recurrence expression: {e!r}")
 
+    def let(x: str, a: RecExpr, b: RecExpr) -> RecExpr:
+        # a and b are in normal form
+        uses = _occurrences(b, x)
+        if uses == 0:
+            spend()
+            return b
+        if uses == 1 or isinstance(a, (RVar, RZero, ROne, RUnitE)):
+            spend()
+            return norm(subst_rec(b, x, a))
+        return RLet(x, a, b)
+
     return norm(e)
+
+
+def _occurrences(e: RecExpr, name: str) -> int:
+    """Free occurrences of a variable."""
+
+    def under(binder: str, body: RecExpr) -> int:
+        return 0 if binder == name else _occurrences(body, name)
+
+    match e:
+        case RVar(n):
+            return int(n == name)
+        case RZero() | ROne() | RUnitE():
+            return 0
+        case RPlus(l, r) | RPair(l, r) | RApp(l, r):
+            return _occurrences(l, name) + _occurrences(r, name)
+        case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _) | RTyLam(_, a):
+            return _occurrences(a, name)
+        case RCase(s, x0, _, b0, x1, _, b1):
+            return _occurrences(s, name) + under(x0, b0) + under(x1, b1)
+        case RLam(x, _, b):
+            return under(x, b)
+        case RFold(_, s, x, _, b) | RLet(x, s, b):
+            return _occurrences(s, name) + under(x, b)
+    raise RecTypeError(f"not a recurrence expression: {e!r}")
 
 
 def _plus(l: RecExpr, r: RecExpr, spend) -> RecExpr:
@@ -850,6 +908,9 @@ def _pre(e: RecExpr, prec: int) -> str:
         case RFold(t, s0, x, _, b):
             s = f"fold[{pretty_rec_type(t)}] {_pre(s0, 3)} with {_clean(x)} => {_pre(b, 0)}"
             return f"({s})" if prec > 0 else s
+        case RLet(x, a, b):
+            s = f"let {_clean(x)} = {_pre(a, 0)} in {_pre(b, 0)}"
+            return f"({s})" if prec > 0 else s
     raise RecTypeError(f"not a recurrence expression: {e!r}")
 
 
@@ -893,4 +954,6 @@ def rec_alpha_eq(a: RecExpr, b: RecExpr, env: Optional[dict] = None) -> bool:
                 t1 == t2 and xt1 == xt2 and rec_alpha_eq(s1, s2, env)
                 and under(x, y, b1, b2)
             )
+        case (RLet(x, a1, b1), RLet(y, a2, b2)):
+            return rec_alpha_eq(a1, a2, env) and under(x, y, b1, b2)
     return False

@@ -305,10 +305,6 @@ def _gens_leq(xs: tuple, ys: tuple) -> bool:
     return all(any(sem_leq(x, y) for y in ys) for x in xs)
 
 
-def sem_eq(a: SemValue, b: SemValue) -> bool:
-    return sem_leq(a, b) and sem_leq(b, a)
-
-
 # ---------------------------------------------------------------------------
 # Antichains and ideals
 # ---------------------------------------------------------------------------

@@ -186,6 +186,19 @@ def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFun
     raise TypeError(f"not a shape functor: {f!r}")
 
 
+def type_memo(ty, slot: str, compute):
+    """``compute(ty)``, remembered in ``ty``'s own ``__dict__`` (as
+    ``functools.cached_property`` does), so the memo dies with the type.
+    Frozen dataclasses allow this: the slot is not a field, so it takes no
+    part in equality, hashing or printing.  Only sound once the type's
+    unification holes are solved for good, that is, after checking.
+    """
+    memo = ty.__dict__
+    if slot not in memo:
+        memo[slot] = compute(ty)
+    return memo[slot]
+
+
 def resolve_holes(ty):
     """Rebuild a type with solved unification holes replaced by their
     solutions (duck-typed; unsolved holes are returned as-is).

@@ -8,6 +8,7 @@ counts come from the evaluator, and closed forms are unrolled by hand.
 
 import random
 import time
+import zlib
 
 import pytest
 
@@ -310,15 +311,17 @@ def test_acceptance_7_bounding_theorem_suite():
     for name in CORPUS_FILES:
         checked = corpus_checked(name)
         for fn in CORPUS_FUNCTIONS[name]:
+            # crc32, unlike hash(), is the same in every process
+            seed = 7000 + zlib.crc32(fn.encode()) % 1000
             cfg = TrialConfig(trials=1000, max_value_size=12,
                               models=("exact", "size", "height", "allcons",
                                       "merged", "lower"),
-                              seed=7000 + hash(fn) % 1000)
+                              seed=seed)
             report = verify_bound(checked, fn, cfg, program_name=name)
-            assert not report.skipped_models, (name, fn, report.skipped_models)
+            assert not report.skipped_models, (name, fn, seed, report.skipped_models)
             total_failures += len(report.failures)
             total_trials += len(report.trials)
-            assert report.passed, report.summary()
+            assert report.passed, f"{name} {fn} seed {seed}: {report.summary()}"
     assert total_trials >= 8 * 1000
     assert total_failures == 0
     elapsed = time.monotonic() - started

@@ -1,19 +1,25 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_FILES, corpus_extracted
+from conftest import CORPUS_FILES, corpus_extracted, corpus_text
+from costrec.cost_eval import eval_expr
 from costrec.extract import (
-    add_cost, complexity_type, extract_expr, potential_type,
+    add_cost, complexity_type, extract_expr, extract_program, potential_type,
 )
+from costrec.models import ExactModel, denote_closed, value_potential
 from costrec.rec_lang import (
-    RArrow, RC, RCase, RFold, RInd, RLam, RPair, RProd, RSum, RTVar, RUnit,
-    RUnitE, RVar, RZero, check_rec, rec_alpha_eq, subst_rtyvars,
+    RApp, RArrow, RC, RCase, RecExpr, RFold, RInd, RLam, RLet, ROne, RPair, RPlus,
+    RProd, RProj, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero, check_rec,
+    rec_alpha_eq, rec_free_vars, simplify, subst_rtyvars,
 )
+from costrec.semdom import SNum, ext
 from costrec.source_ast import (
-    NAT_TYPE, TArrow, TProd, TSum, TSusp, TUnit, TVar, parse_expr,
-    parse_type, subst_tyvars,
+    EMPTY_ENV, NAT_TYPE, TArrow, TProd, TSum, TSusp, TUnit, TVar, free_vars,
+    numeral_value, parse_expr, parse_program, parse_type, subst_tyvars,
 )
-from costrec.typecheck import Elab, TypeContext, infer_expr
+from costrec.typecheck import Elab, TypeContext, check_program, infer_expr
 
 
 def extract_of(text):
@@ -43,17 +49,24 @@ def test_extraction_is_always_a_pair():
         assert isinstance(extract_of(text), RPair)
 
 
-def test_fold_charges_inside_the_step():
-    out = extract_of("fold[nat] #1 with x => case x of y => #0 | y => force y : nat")
-    fold = out.right
-    while not isinstance(fold, RFold):  # unwrap the adding-cost projections
-        fold = fold.arg
-    assert isinstance(fold, RFold)
-    # the step body is 1 +c the extracted branch: its cost starts with 1 +
-    step_cost = fold.body.left
-    from costrec.rec_lang import ROne, RPlus
+def _let_tail(e):
+    while isinstance(e, RLet):
+        e = e.body
+    return e
 
-    assert isinstance(step_cost, (ROne, RPlus))
+
+def test_fold_charges_inside_the_step():
+    text = "fold[nat] #1 with x => case x of y => #0 | y => force y : nat"
+    out = extract_of(text)
+    # the fold is bound once by a let, and its step is a chain of lets that
+    # ends in a pair whose cost is 1 + the extracted branch
+    assert isinstance(out, RLet) and isinstance(out.bound, RFold)
+    step_cost = _let_tail(out.bound.body).left
+    assert isinstance(step_cost, ROne) or (
+        isinstance(step_cost, RPlus) and isinstance(step_cost.left, ROne))
+    # one charge per unfolding: #1 unfolds twice, as the evaluator counts
+    assert eval_expr(EMPTY_ENV, parse_expr(text)).cost == 2
+    assert denote_closed(ExactModel(), out).left == SNum("cost", ext(2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +146,49 @@ def test_typeability_on_handwritten_terms(text, src_ty):
     assert check_rec({}, out) == complexity_type(parse_type(src_ty))
 
 
+def _subterms(e):
+    yield e
+    for f in dataclasses.fields(e):
+        sub = getattr(e, f.name)
+        if isinstance(sub, RecExpr):
+            yield from _subterms(sub)
+
+
 def test_let_substitutes_generalized_potential():
-    # occurrences of the let-bound name become type applications of the
-    # generalized potential
+    # the let-bound name is bound once, to the generalized potential, and
+    # each occurrence is a type application of that variable
     out = extract_of("let id = fn (x: a) => x in id[nat] #1")
-    from costrec.rec_lang import RTyApp, RTyLam, rec_free_vars
-
     assert not rec_free_vars(out)
-    found = []
-
-    def walk(e):
-        if isinstance(e, RTyApp) and isinstance(e.fn, RTyLam):
-            found.append(e)
-        for attr in ("left", "right", "arg", "fn", "scrutinee", "body",
-                     "branch0", "branch1"):
-            sub = getattr(e, attr, None)
-            if sub is not None and hasattr(sub, "__dataclass_fields__"):
-                walk(sub)
-
-    walk(out)
-    assert found, "expected a type application of the generalized potential"
+    bound = {e.binder: e.bound for e in _subterms(out) if isinstance(e, RLet)}
+    applied = [e.fn.name for e in _subterms(out)
+               if isinstance(e, RTyApp) and isinstance(e.fn, RVar)]
+    assert applied, "expected a type application of the let-bound potential"
+    assert all(isinstance(bound.get(name), RTyLam) for name in applied)
+    # and the term denotes what substituting the potential would: id #1
+    cpx = denote_closed(ExactModel(), out)
+    assert cpx.left == SNum("cost", ext(0))
+    assert cpx.right == value_potential(ExactModel(), numeral_value(1), NAT_TYPE)
 
 
 def test_add_cost_macro_on_pairs_and_neutral_zero():
     e = RPair(RZero(), RUnitE())
-    from costrec.rec_lang import ROne
-
     out = add_cost(ROne(), e)
     assert rec_alpha_eq(out, RPair(ROne(), RUnitE()))
+
+
+def test_add_cost_binds_a_non_pair_instead_of_copying_it():
+    f = RLam("x", RC(), RPair(RVar("x"), RUnitE()))
+    out = add_cost(ROne(), RApp(f, ROne()))
+    assert isinstance(out, RLet) and isinstance(out.bound, RApp)
+    v = out.binder
+    assert rec_alpha_eq(out.body, RPair(RPlus(ROne(), RProj(0, RVar(v))), RProj(1, RVar(v))))
+    assert check_rec({}, out) == RProd(RC(), RUnit())
+
+
+def test_add_cost_charges_the_pair_that_ends_a_let_chain():
+    chain = RLet("y", ROne(), RPair(RVar("y"), RUnitE()))
+    out = add_cost(ROne(), chain)
+    assert rec_alpha_eq(out, RLet("y", ROne(), RPair(RPlus(ROne(), RVar("y")), RUnitE())))
 
 
 def test_non_core_input_rejected():
@@ -169,3 +197,65 @@ def test_non_core_input_rejected():
 
     with pytest.raises(ExtractError):
         extract_expr(MapV(FRec(), "y", VUnit(), VUnit()), Elab())
+
+
+# ---------------------------------------------------------------------------
+# Term size: sharing instead of copying
+# ---------------------------------------------------------------------------
+
+
+def tree_nodes(term) -> int:
+    """Dataclass nodes of a term or program, each occurrence counted, types
+    included.
+    """
+    count, stack = 0, [term]
+    while stack:
+        node = stack.pop()
+        count += 1
+        for f in dataclasses.fields(node):
+            child = getattr(node, f.name)
+            if dataclasses.is_dataclass(child):
+                stack.append(child)
+            elif isinstance(child, tuple):
+                stack.extend(c for c in child if dataclasses.is_dataclass(c))
+    return count
+
+
+def nested_maps(depth: int) -> str:
+    """``c_d = c_(d-1) . c_(d-1)`` over the corpus map, ``c_0 = map_constf``."""
+    lines = [corpus_text("map.src")]
+    prev = "map_constf"
+    for d in range(1, depth + 1):
+        lines.append(f"let c{d} = fn (xs: list<nat>) => {prev} ({prev} xs);")
+        prev = f"c{d}"
+    return "\n".join(lines) + "\n"
+
+
+def test_nested_maps_stay_small():
+    # copying made c_3 219,870 nodes; sharing keeps it linear in the source
+    ex = extract_program(check_program(parse_program(nested_maps(3))))
+    term = ex.bindings["c3"].complexity
+    assert tree_nodes(term) < 1000
+    assert tree_nodes(simplify(term)) < 1000
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_complexity_within_ten_times_its_source(name):
+    # source: the binding plus every earlier binding it uses, transitively
+    program = parse_program(corpus_text(name))
+    ex = corpus_extracted(name)
+    defs = list(program.bindings)
+    for i, (bname, expr) in enumerate(defs):
+        needed, source = free_vars(expr), tree_nodes(expr)
+        for prev, prev_expr in reversed(defs[:i]):
+            if prev in needed:
+                needed = (needed - {prev}) | free_vars(prev_expr)
+                source += tree_nodes(prev_expr)
+        assert tree_nodes(ex.bindings[bname].complexity) <= 10 * source, bname
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_extracted_terms_are_closed(name):
+    for bname, binding in corpus_extracted(name).bindings.items():
+        assert not rec_free_vars(binding.complexity), bname
+        assert not rec_free_vars(binding.potential), bname

@@ -1,17 +1,24 @@
+import gc
 import json
 import random
+import time
+import weakref
 
 import pytest
 
-from conftest import CORPUS_DIR, corpus_checked
+from conftest import CORPUS_DIR, corpus_checked, corpus_text
+from costrec import cli
 from costrec.cli import main as cli_main
+from costrec.cost_eval import EvalError
+from costrec.extract import ExtractError, extract_program
 from costrec.harness import (
     HarnessError, TrialConfig, gen_value, prepare, run_trial, verify_bound,
 )
-from costrec.models import make_model, value_potential
-from costrec.semdom import SNum, ext
-from costrec.source_ast import VUnit, parse_type, pretty
-from costrec.typecheck import check_value
+from costrec.models import ModelError, make_model, value_potential
+from costrec.rec_lang import RecTypeError
+from costrec.semdom import SNum, UnsupportedFeature, ext
+from costrec.source_ast import VUnit, parse_program, parse_type, pretty
+from costrec.typecheck import check_program, check_value
 
 
 def test_gen_value_unit():
@@ -220,3 +227,86 @@ def test_cli_type_error_exit_one(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(f))
     assert code == 1
     assert "costrec" in err
+
+
+def test_cli_analysis_errors_exit_one_without_traceback(capsys, monkeypatch):
+    for exc_type in (ModelError, HarnessError, EvalError, ExtractError,
+                     RecTypeError, UnsupportedFeature, RecursionError):
+        def fail(args, exc_type=exc_type):
+            raise exc_type("went\nwrong")
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        code, out, err = _run(capsys, "check", str(CORPUS_DIR / "rev.src"))
+        assert code == 1 and out == ""
+        assert err == f"costrec: {exc_type.__name__}: went wrong\n"
+
+
+def test_cli_analysis_error_as_json(capsys, monkeypatch):
+    def fail(args):
+        raise HarnessError("no top-level binding named nope")
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    code, _, err = _run(capsys, "check", str(CORPUS_DIR / "rev.src"), "--json")
+    assert code == 1
+    assert json.loads(err) == {"error": "no top-level binding named nope",
+                               "kind": "HarnessError"}
+
+
+@pytest.mark.parametrize("file,model,fn,at", [
+    ("rev.src", "size", "rev", "100"),
+    ("copy.src", "height", "copy", "90"),
+])
+def test_cli_analyze_too_deep_fails_in_one_line(capsys, file, model, fn, at):
+    # the abstract folds recurse once per unit of potential, so these inputs
+    # overflow Python's recursion limit; the CLI reports it on one line
+    argv = ["analyze", str(CORPUS_DIR / file), "--model", model, "--fn", fn, "--at", at]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "costrec: RecursionError: maximum recursion depth exceeded\n"
+    code, _, err = _run(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(err)["kind"] == "RecursionError"
+
+
+def test_cli_analyze_unknown_function_fails_in_one_line(capsys):
+    code, _, err = _run(capsys, "analyze", str(CORPUS_DIR / "rev.src"),
+                        "--model", "size", "--fn", "nope", "--at", "3")
+    assert code == 1
+    assert err == "costrec: HarnessError: no top-level binding named nope\n"
+
+
+def test_cli_analyze_rev_is_polynomial(capsys):
+    # extraction shares each recursive call instead of copying it, so the
+    # merged-model bound of rev no longer doubles its work per element
+    started = time.monotonic()
+    code, out, _ = _run(capsys, "analyze", str(CORPUS_DIR / "rev.src"),
+                        "--model", "merged", "--fn", "rev", "--at", "64")
+    assert code == 0
+    assert "cost bound: 64" in out and "main count 64" in out
+    assert time.monotonic() - started < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+def test_pipeline_keeps_no_type_alive():
+    """Memos on types must die with them: after twenty rounds of parse,
+    check, extract, prepare and embedding, a type from the first round is
+    collected.
+    """
+    text = corpus_text("copy.src")
+    first = []
+    for _ in range(20):
+        checked = check_program(parse_program(text))
+        prepared = prepare(checked, "copy", ("size", "allcons"),
+                           extracted=extract_program(checked))
+        arg_ty = prepared.arg_types[0]
+        value = gen_value(arg_ty, 6, random.Random(0))
+        value_potential(prepared.denoted["allcons"][0], value, arg_ty)
+        if not first:
+            first = [weakref.ref(arg_ty), weakref.ref(checked.schemes["copy"].body)]
+        del checked, prepared, arg_ty, value
+    gc.collect()
+    assert [ref() for ref in first] == [None, None]

@@ -3,10 +3,10 @@ import pytest
 from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_extracted
 from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecTypeError, RFold,
-    RForall, RInd, RInj, RLam, ROne, RPair, RPlus, RProd, RProj, RSConst,
-    RSRec, RSSum, RSum, RTVar, RTyLam, RUnit, RUnitE, RVar, RZero, check_rec,
-    map_macro, map_macro_typed, pretty_rec, rec_alpha_eq, simplify,
-    subst_rec, subst_rec_shape,
+    RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd, RProj, RSConst,
+    RSRec, RSSum, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero,
+    check_rec, map_macro, map_macro_typed, pretty_rec, rec_alpha_eq,
+    rec_free_vars, simplify, subst_rec, subst_rec_shape, subst_rec_type_in_expr,
 )
 
 NAT_REC = RInd(RSSum(RSConst(RUnit()), RSRec()), "nat")
@@ -174,3 +174,101 @@ def test_substitution_capture_avoidance():
 def test_pretty_rec_prints():
     e = RPlus(RZero(), ROne())
     assert pretty_rec(e) == "0 + 1"
+
+
+# ---------------------------------------------------------------------------
+# let
+# ---------------------------------------------------------------------------
+
+
+def _f_of(x):
+    # an application: not an atom, so the simplifier does not copy it
+    return RApp(RVar("f"), x)
+
+
+F_CTX = {"f": RArrow(RC(), RC())}
+
+
+def test_let_typing_extends_the_context():
+    e = RLet("x", ROne(), RPlus(RVar("x"), RVar("x")))
+    assert check_rec({}, e) == RC()
+
+
+def test_let_binds_a_polymorphic_value():
+    poly_id = RTyLam("a", RLam("x", RTVar("a"), RVar("x")))
+    e = RLet("id", poly_id, RApp(RTyApp(RVar("id"), RC()), ROne()))
+    assert check_rec({}, e) == RC()
+
+
+def test_let_binder_scopes_over_the_body_only():
+    with pytest.raises(RecTypeError):
+        check_rec({}, RLet("x", RVar("x"), RZero()))
+    with pytest.raises(RecTypeError):
+        check_rec({}, RLet("x", ROne(), RPlus(RUnitE(), RVar("x"))))
+
+
+def test_let_free_vars():
+    e = RLet("x", RVar("y"), RPlus(RVar("x"), RVar("z")))
+    assert rec_free_vars(e) == {"y", "z"}
+
+
+def test_substitution_avoids_capture_under_let():
+    # let y = 1 in x + y, with x := y, must rename the let binder
+    e = RLet("y", ROne(), RPlus(RVar("x"), RVar("y")))
+    out = subst_rec(e, "x", RVar("y"))
+    assert isinstance(out, RLet) and out.binder != "y"
+    assert rec_alpha_eq(out, RLet("z", ROne(), RPlus(RVar("y"), RVar("z"))))
+
+
+def test_substitution_reaches_the_bound_but_not_a_shadowed_body():
+    e = RLet("x", RVar("x"), RVar("x"))
+    out = subst_rec(e, "x", ROne())
+    assert rec_alpha_eq(out, RLet("x", ROne(), RVar("x")))
+
+
+def test_type_substitution_reaches_both_parts_of_a_let():
+    e = RLet("x", RLam("y", RTVar("a"), RVar("y")), RLam("z", RTVar("a"), RVar("z")))
+    out = subst_rec_type_in_expr(e, {"a": RC()})
+    assert check_rec({}, out) == RArrow(RC(), RC())
+
+
+def test_simplify_drops_an_unused_let():
+    e = RLet("x", _f_of(ROne()), RZero())
+    assert rec_alpha_eq(simplify(e), RZero())
+
+
+def test_simplify_inlines_a_let_used_once():
+    e = RLet("x", _f_of(ROne()), RPlus(RVar("x"), ROne()))
+    assert rec_alpha_eq(simplify(e), RPlus(_f_of(ROne()), ROne()))
+
+
+def test_simplify_keeps_a_let_used_twice():
+    e = RLet("x", _f_of(ROne()), RPlus(RVar("x"), RVar("x")))
+    out = simplify(e)
+    assert rec_alpha_eq(out, e)
+    assert check_rec(F_CTX, out) == RC()
+
+
+def test_simplify_inlines_atoms_however_often_they_occur():
+    e = RLet("x", RVar("y"), RPlus(RVar("x"), RVar("x")))
+    assert rec_alpha_eq(simplify(e), RPlus(RVar("y"), RVar("y")))
+
+
+def test_simplify_function_beta_shares_its_argument():
+    # (fn x => x + x) (f 1) binds f 1 once rather than copying it
+    e = RApp(RLam("x", RC(), RPlus(RVar("x"), RVar("x"))), _f_of(ROne()))
+    out = simplify(e)
+    assert rec_alpha_eq(out, RLet("x", _f_of(ROne()), RPlus(RVar("x"), RVar("x"))))
+
+
+def test_let_alpha_equivalence():
+    a = RLet("x", ROne(), RVar("x"))
+    assert rec_alpha_eq(a, RLet("y", ROne(), RVar("y")))
+    assert not rec_alpha_eq(a, RLet("y", RZero(), RVar("y")))
+    assert not rec_alpha_eq(a, RLet("y", ROne(), RVar("x")))
+
+
+def test_pretty_rec_prints_let():
+    e = RLet("x", ROne(), RPlus(RVar("x"), RVar("x")))
+    assert pretty_rec(e) == "let x = 1 in x + x"
+    assert pretty_rec(RProj(0, e)) == "pi0 (let x = 1 in x + x)"
