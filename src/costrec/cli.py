@@ -18,7 +18,9 @@ from .extract import ExtractError, extract_program, potential_type
 from .harness import (
     DEFAULT_MODELS, HarnessError, TrialConfig, apply_bound, prepare, verify_bound,
 )
-from .models import MODEL_NAMES, ModelError, galois_abs, galois_conc, value_potential
+from .models import (
+    MODEL_NAMES, ModelError, galois_abs, galois_conc, support_datatypes, value_potential,
+)
 from .rec_lang import RInd, RecTypeError, pretty_rec, pretty_rec_type, simplify
 from .semdom import INF, SMap, SNum, SizeMap, UnsupportedFeature, ext
 from .typecheck import SrcTypeError, check_program
@@ -28,6 +30,14 @@ ANALYSIS_ERRORS = (
     ModelError, HarnessError, EvalError, ExtractError, RecTypeError,
     UnsupportedFeature, RecursionError,
 )
+
+# CPython appends where the overflow happened ("... while calling a Python
+# object"), which depends on the code path, not on the input
+_TOO_DEEP = "maximum recursion depth exceeded"
+
+
+class UsageError(Exception):
+    """A malformed command-line argument, reported with exit code 2."""
 
 
 def _load(path: str):
@@ -119,20 +129,37 @@ def _parse_at(token: str, model, arg_src_ty, program) -> object:
     if token.startswith("{"):
         entries = {}
         body = token.strip("{}").strip()
+        support = support_datatypes(pot_ty)
         if body:
             for item in body.split(","):
                 key, _, num = item.partition(":")
-                key_ty = potential_type(S.parse_type(key.strip(), program.datatypes))
-                entries[key_ty] = INF if num.strip() in ("inf", "top") else ext(int(num))
+                try:
+                    key_ty = potential_type(S.parse_type(key.strip(), program.datatypes))
+                except S.SourceError as exc:
+                    raise UsageError(f"bad datatype {key.strip()!r} in --at: {exc.msg}")
+                if key_ty not in support:
+                    raise UsageError(
+                        f"--at names {key.strip()!r}, which is not a datatype of "
+                        f"the argument type {S.pretty_type(arg_src_ty)}")
+                entries[key_ty] = INF if num.strip() in ("inf", "top") else _count(num)
         return SMap(SizeMap.of(entries))
-    n = ext(int(token))
-    if model.name in ("allcons", "merged"):
-        if not isinstance(pot_ty, RInd):
-            raise SystemExit(f"costrec: numeric potential needs an inductive argument type")
-        return galois_conc(pot_ty, SNum("size", n))
+    n = _count(token)
     if not isinstance(pot_ty, RInd):
-        raise SystemExit(f"costrec: numeric potential needs an inductive argument type")
+        raise UsageError("numeric potential needs an inductive argument type")
+    if model.name in ("allcons", "merged"):
+        return galois_conc(pot_ty, SNum("size", n))
     return SNum("size", n)
+
+
+def _count(token: str):
+    """A natural number given on the command line."""
+    try:
+        n = int(token)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise UsageError(f"--at expects a natural number, 'inf' or a map; got {token.strip()!r}")
+    return ext(n)
 
 
 def _show_potential(model, pot, arg_ty) -> str:
@@ -257,9 +284,14 @@ def main(argv=None) -> int:
     except (S.SourceError, SrcTypeError) as exc:
         _report_error(args, str(exc), {"error": exc.msg, "line": exc.line, "column": exc.col})
         return 1
+    except UsageError as exc:
+        print(f"costrec: {exc}", file=sys.stderr)
+        return 2
     except ANALYSIS_ERRORS as exc:
         kind = type(exc).__name__
         msg = " ".join(str(exc).split()) or kind
+        if isinstance(exc, RecursionError) and msg.startswith(_TOO_DEEP):
+            msg = _TOO_DEEP
         _report_error(args, f"{kind}: {msg}", {"error": msg, "kind": kind})
         return 1
 

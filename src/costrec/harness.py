@@ -27,7 +27,7 @@ from . import typecheck as T
 from .cost_eval import apply_function, program_env
 from .extract import ExtractedProgram, extract_program, potential_type
 from .models import (
-    Model, SemEnv, denote, make_model, observable, value_potential,
+    Model, SemEnv, _resolved, denote, make_model, observable, value_potential,
 )
 from .rec_lang import RecElab, RForall, check_rec
 from .semdom import (
@@ -115,40 +115,56 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _min_ctors_type(ty: S.SrcType, _seen: frozenset = frozenset()):
-    """Fewest constructors any value of this type can contain.  Recursive
-    references already on the path count as unboundedly expensive, so
-    well-founded datatypes get the cost of their cheapest base branch.
+def _min_ctors_type(ty: S.SrcType) -> float:
+    """Fewest constructors any value of this (hole-free) type can contain,
+    computed once per type.
     """
-    ty = S.resolve_holes(ty)
+    return S.type_memo(ty, "_min_ctors", _least_ctors)
+
+
+def _least_ctors(ty: S.SrcType) -> float:
     match ty:
         case S.TUnit():
             return 0
         case S.TProd(l, r):
-            return _min_ctors_type(l, _seen) + _min_ctors_type(r, _seen)
+            return _min_ctors_type(l) + _min_ctors_type(r)
         case S.TSum(l, r):
-            return min(_min_ctors_type(l, _seen), _min_ctors_type(r, _seen))
+            return min(_min_ctors_type(l), _min_ctors_type(r))
         case S.TInd(f, _):
-            if ty in _seen:
-                return float("inf")
-            return 1 + _min_ctors_shape(f, ty, _seen | {ty})
+            # a recursive position inside the type's own definition counts
+            # as unboundedly expensive, so a well-founded datatype gets the
+            # cost of its cheapest base branch
+            return 1 + _shape_ctors(f, float("inf"))
     raise HarnessError(f"cannot generate values at {S.pretty_type(ty)}")
 
 
-def _min_ctors_shape(f: S.ShapeFunctor, delta: S.TInd, _seen: frozenset = frozenset()):
+def _shape_ctors(f: S.ShapeFunctor, rec: float) -> float:
+    """Fewest constructors in the layer ``f``, a recursive position
+    costing ``rec``.  Constant types never mention the enclosing datatype
+    (they are strict subterms of it), so their minimum is context-free.
+    """
     match f:
         case S.FRec():
-            return _min_ctors_type(delta, _seen)
+            return rec
         case S.FConst(t):
-            return _min_ctors_type(t, _seen)
+            return _min_ctors_type(t)
         case S.FProd(l, r):
-            return _min_ctors_shape(l, delta, _seen) + _min_ctors_shape(r, delta, _seen)
+            return _shape_ctors(l, rec) + _shape_ctors(r, rec)
         case S.FSum(l, r):
-            return min(_min_ctors_shape(l, delta, _seen),
-                       _min_ctors_shape(r, delta, _seen))
+            return min(_shape_ctors(l, rec), _shape_ctors(r, rec))
         case S.FArrow(_, _):
             raise HarnessError("cannot generate values for arrow shape functors")
     raise HarnessError(f"not a shape functor: {f!r}")
+
+
+def _min_ctors_shape(f: S.ShapeFunctor, delta: S.TInd) -> float:
+    """Fewest constructors in a layer ``f`` of ``delta``'s definition,
+    computed once per layer and kept on ``delta``.
+    """
+    memo = S.type_memo(delta, "_layer_ctors", lambda _: {})
+    if f not in memo:
+        memo[f] = _shape_ctors(f, _min_ctors_type(delta))
+    return memo[f]
 
 
 class _Pool:
@@ -179,9 +195,9 @@ def gen_value(ty: S.SrcType, size_budget: int, rng: random.Random,
     The style draw forces minimum frequencies for boundary shapes: minimal
     values, spines, and balanced trees.
     """
-    ty = S.resolve_holes(ty)
     if not observable(ty):
         raise HarnessError(f"cannot generate values at {S.pretty_type(ty)}")
+    ty = _resolved(ty)
     if style is None:
         roll = rng.random()
         style = ("minimal" if roll < 0.08 else
@@ -195,7 +211,6 @@ def gen_value(ty: S.SrcType, size_budget: int, rng: random.Random,
 
 
 def _gen(ty: S.SrcType, pool: _Pool, rng: random.Random, style: str) -> S.Value:
-    ty = S.resolve_holes(ty)
     match ty:
         case S.TUnit():
             return S.VUnit()
@@ -274,6 +289,11 @@ def _gen_shape(f: S.ShapeFunctor, delta: S.TInd, pool: _Pool,
 
 
 def _count_recs(f: S.ShapeFunctor) -> int:
+    """Recursive positions in a layer, counted once per layer."""
+    return S.type_memo(f, "_recs", _recs_in)
+
+
+def _recs_in(f: S.ShapeFunctor) -> int:
     match f:
         case S.FRec():
             return 1

@@ -964,15 +964,21 @@ def denote(model: Model, env: SemEnv, e: RecExpr, elab: RecElab) -> SemValue:
             scrut = denote(model, env, s, elab)
             step = lambda v: denote(model, env.with_val(x, v), b, elab)
             key = (id(e), frozenset(env.tyvars.items()),
-                   _env_fingerprint(env, rec_free_vars(b) - {x}))
+                   _env_fingerprint(env, _step_free_vars(e)))
             return model.fold(delta, result_ty, step, scrut, cache_key=key)
         case RLet(x, a, b):
             return denote(model, env.with_val(x, denote(model, env, a, elab)), b, elab)
     raise ModelError(f"not a recurrence expression: {e!r}")
 
 
-def _env_fingerprint(env: SemEnv, names: set[str]):
-    return tuple(sorted((n, env.vals[n]) for n in names if n in env.vals))
+def _step_free_vars(e: RFold) -> tuple[str, ...]:
+    """The free variables of a fold's step, sorted, once per fold node."""
+    return S.type_memo(e, "_step_free",
+                       lambda f: tuple(sorted(rec_free_vars(f.body) - {f.binder})))
+
+
+def _env_fingerprint(env: SemEnv, names: tuple[str, ...]):
+    return tuple((n, env.vals[n]) for n in names if n in env.vals)
 
 
 def denote_closed(model: Model, e: RecExpr) -> SemValue:

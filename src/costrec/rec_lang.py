@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .source_ast import hash_once
+
 
 class RecTypeError(Exception):
     pass
@@ -36,45 +38,53 @@ def rec_gensym(base: str = "v") -> str:
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class RTVar:
     name: str
 
 
+@hash_once
 @dataclass(frozen=True)
 class RC:
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class RUnit:
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class RProd:
     left: "RecType"
     right: "RecType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSum:
     left: "RecType"
     right: "RecType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RArrow:
     dom: "RecType"
     cod: "RecType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RInd:
     functor: "RecShape"
     label: Optional[str] = field(default=None, compare=False, hash=False)
 
 
+@hash_once
 @dataclass(frozen=True)
 class RForall:
     var: str
@@ -84,28 +94,33 @@ class RForall:
 RecType = Union[RTVar, RC, RUnit, RProd, RSum, RArrow, RInd, RForall]
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSRec:
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSConst:
     type: RecType
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSProd:
     left: "RecShape"
     right: "RecShape"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSSum:
     left: "RecShape"
     right: "RecShape"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RSArrow:
     dom: RecType

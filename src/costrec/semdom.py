@@ -14,6 +14,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
+from .source_ast import hash_once
+
 
 class SemError(Exception):
     pass
@@ -31,6 +33,7 @@ class UnsupportedFeature(SemError):
 
 
 @functools.total_ordering
+@hash_once
 @dataclass(frozen=True)
 class ExtNat:
     """A natural number or infinity (value None means infinity)."""
@@ -89,6 +92,7 @@ def ext(n: Union[int, ExtNat, None]) -> ExtNat:
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class SizeMap:
     """A finite map from datatype identity (a closed inductive recurrence
@@ -156,6 +160,7 @@ class SStar:
         return "*"
 
 
+@hash_once
 @dataclass(frozen=True)
 class SNum:
     """A number in a cost or size position; the kind fixes the bottom
@@ -169,6 +174,7 @@ class SNum:
         return str(self.num)
 
 
+@hash_once
 @dataclass(frozen=True)
 class SMap:
     sizemap: SizeMap
@@ -177,6 +183,7 @@ class SMap:
         return str(self.sizemap)
 
 
+@hash_once
 @dataclass(frozen=True)
 class SPair:
     left: "SemValue"
@@ -186,6 +193,7 @@ class SPair:
         return f"({self.left}, {self.right})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class SIdeal:
     """An order ideal in O(A + B), represented by antichains of maximal
@@ -234,6 +242,7 @@ class SPoly:
         return "<polyfun>"
 
 
+@hash_once
 @dataclass(frozen=True)
 class XCons:
     """Exact-model inductive value: a constructor applied to data."""
@@ -245,6 +254,7 @@ class XCons:
         return f"cons({self.arg})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class XInj:
     """Exact-model sum value."""
@@ -319,9 +329,9 @@ def antichain(items: Iterable[SemValue]) -> tuple:
     them) are kept unpruned: the order on functions is not decidable, and an
     unpruned generator set denotes the same ideal.
     """
-    items = list(items)
-    if not all(is_function_free(x) for x in items):
-        return tuple(items)
+    items = tuple(items)
+    if len(items) < 2 or not all(is_function_free(x) for x in items):
+        return items
     out: list[SemValue] = []
     for x in items:
         if any(sem_leq(x, y) for y in out):

@@ -42,43 +42,85 @@ class SourceError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Memos kept on the objects they describe
+# ---------------------------------------------------------------------------
+
+
+def type_memo(ty, slot: str, compute):
+    """``compute(ty)``, remembered in ``ty``'s own ``__dict__`` (as
+    ``functools.cached_property`` does), so the memo dies with the type (or
+    other immutable node: a shape functor, a recurrence term).  Frozen
+    dataclasses allow this: the slot is not a field, so it takes no part in
+    equality, hashing or printing.  Only sound once the type's unification
+    holes are solved for good, that is, after checking.
+    """
+    memo = ty.__dict__
+    if slot not in memo:
+        memo[slot] = compute(ty)
+    return memo[slot]
+
+
+def hash_once(cls):
+    """Class decorator for a frozen dataclass whose instances are hashed
+    often: the generated structural hash, computed once per instance and
+    kept with ``type_memo``.  Equality and the hash values are unchanged;
+    a child's hash is itself cached, so hashing a tree visits each node
+    once in its lifetime.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        return type_memo(self, "_hash", structural)
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Types and shape functors
 # ---------------------------------------------------------------------------
 
 
+@hash_once
 @dataclass(frozen=True)
 class TVar:
     name: str
 
 
+@hash_once
 @dataclass(frozen=True)
 class TUnit:
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class TProd:
     left: "SrcType"
     right: "SrcType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class TSum:
     left: "SrcType"
     right: "SrcType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class TArrow:
     dom: "SrcType"
     cod: "SrcType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class TSusp:
     body: "SrcType"
 
 
+@hash_once
 @dataclass(frozen=True)
 class TInd:
     """An inductive type ``mu t. F``.
@@ -94,28 +136,33 @@ class TInd:
 SrcType = Union[TVar, TUnit, TProd, TSum, TArrow, TSusp, TInd]
 
 
+@hash_once
 @dataclass(frozen=True)
 class FRec:
     """The distinguished recursion variable ``t`` of a shape functor."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class FConst:
     type: SrcType
 
 
+@hash_once
 @dataclass(frozen=True)
 class FProd:
     left: "ShapeFunctor"
     right: "ShapeFunctor"
 
 
+@hash_once
 @dataclass(frozen=True)
 class FSum:
     left: "ShapeFunctor"
     right: "ShapeFunctor"
 
 
+@hash_once
 @dataclass(frozen=True)
 class FArrow:
     dom: SrcType  # the recursion variable may not occur in the domain
@@ -184,19 +231,6 @@ def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFun
         case FArrow(d, b):
             return FArrow(subst_tyvars(d, mapping), subst_shape_tyvars(b, mapping))
     raise TypeError(f"not a shape functor: {f!r}")
-
-
-def type_memo(ty, slot: str, compute):
-    """``compute(ty)``, remembered in ``ty``'s own ``__dict__`` (as
-    ``functools.cached_property`` does), so the memo dies with the type.
-    Frozen dataclasses allow this: the slot is not a field, so it takes no
-    part in equality, hashing or printing.  Only sound once the type's
-    unification holes are solved for good, that is, after checking.
-    """
-    memo = ty.__dict__
-    if slot not in memo:
-        memo[slot] = compute(ty)
-    return memo[slot]
 
 
 def resolve_holes(ty):

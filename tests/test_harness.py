@@ -1,6 +1,10 @@
 import gc
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 
@@ -8,6 +12,8 @@ import pytest
 
 from conftest import CORPUS_DIR, corpus_checked, corpus_text
 from costrec import cli
+from costrec import harness
+from costrec import source_ast
 from costrec.cli import main as cli_main
 from costrec.cost_eval import EvalError
 from costrec.extract import ExtractError, extract_program
@@ -26,6 +32,30 @@ def test_gen_value_unit():
 
     rng = random.Random(0)
     assert value_eq(gen_value(parse_type("unit"), 5, rng), VUnit())
+
+
+def test_gen_value_computes_generation_facts_once_per_type(monkeypatch):
+    # fresh types, so no memo from an earlier test is reused
+    checked = check_program(parse_program(corpus_text("mem.src")))
+    prepared = prepare(checked, "mem", ("size",))
+    computed = []
+    least_ctors = harness._least_ctors
+
+    def counting(ty):
+        computed.append(ty)
+        return least_ctors(ty)
+
+    def no_resolve(ty):
+        raise AssertionError("generation resolved a checked type again")
+
+    monkeypatch.setattr(harness, "_least_ctors", counting)
+    monkeypatch.setattr(source_ast, "resolve_holes", no_resolve)
+    rng = random.Random(5)
+    for _ in range(50):
+        for ty in prepared.arg_types:
+            gen_value(ty, 12, rng)
+    assert computed
+    assert len({id(ty) for ty in computed}) == len(computed)
 
 
 def test_gen_value_nat_respects_budget():
@@ -266,6 +296,74 @@ def test_cli_analyze_too_deep_fails_in_one_line(capsys, file, model, fn, at):
     code, _, err = _run(capsys, *argv, "--json")
     assert code == 1
     assert json.loads(err)["kind"] == "RecursionError"
+
+
+def test_cli_recursion_error_message_does_not_depend_on_the_call_site(capsys, monkeypatch):
+    def fail(args):
+        raise RecursionError("maximum recursion depth exceeded while calling a Python object")
+
+    monkeypatch.setattr(cli, "cmd_check", fail)
+    code, _, err = _run(capsys, "check", str(CORPUS_DIR / "rev.src"))
+    assert code == 1
+    assert err == "costrec: RecursionError: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("file,model,fn,at,message", [
+    ("copy.src", "size", "copy", "abc",
+     "--at expects a natural number, 'inf' or a map; got 'abc'"),
+    ("copy.src", "size", "copy", "-2",
+     "--at expects a natural number, 'inf' or a map; got '-2'"),
+    ("sumtree.src", "allcons", "sumtree", "{nat: x}",
+     "--at expects a natural number, 'inf' or a map; got 'x'"),
+    ("copy.src", "allcons", "copy", "{foo: 3}",
+     "--at names 'foo', which is not a datatype of the argument type tree<nat>"),
+    ("sumtree.src", "allcons", "sumtree", "{list<nat>: 3}",
+     "--at names 'list<nat>', which is not a datatype of the argument type tree<nat>"),
+    ("sumtree.src", "allcons", "sumtree", "{list: 3}",
+     "bad datatype 'list' in --at: datatype list expects 1 argument(s), got 0"),
+])
+def test_cli_analyze_bad_at_token_is_a_usage_error(capsys, file, model, fn, at, message):
+    code, out, err = _run(capsys, "analyze", str(CORPUS_DIR / file),
+                          "--model", model, "--fn", fn, "--at", at)
+    assert code == 2 and out == ""
+    assert err == f"costrec: {message}\n"
+
+
+@pytest.mark.parametrize("model", ["size", "allcons"])
+def test_cli_analyze_numeric_potential_needs_a_datatype(tmp_path, capsys, model):
+    f = tmp_path / "u.src"
+    f.write_text("let f = fn (x: unit) => x;\n")
+    code, out, err = _run(capsys, "analyze", str(f), "--model", model, "--fn", "f",
+                          "--at", "3")
+    assert code == 2 and out == ""
+    assert err == "costrec: numeric potential needs an inductive argument type\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(CORPUS_DIR.parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "costrec", "check", str(CORPUS_DIR / "rev.src")],
+        check=True, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "rev : forall a. list<a> -> list<a>" in done.stdout
+
+
+# Digests of `costrec verify --json` (run from the corpus directory) before
+# the generation memos and cached hashes: faster code must print the same.
+VERIFY_DIGESTS = {
+    "copy": "189b5a99febe4719cc85cc81bd3cd3de07486ba75cac4bd8c8d28cb10fd5dad4",
+    "mem": "de1eab3d1475f429509e73380559dadd57e389f759d98bafb0072b3fd9819c37",
+}
+
+
+@pytest.mark.parametrize("fn", sorted(VERIFY_DIGESTS))
+def test_cli_verify_json_is_byte_identical(capsys, monkeypatch, fn):
+    monkeypatch.chdir(CORPUS_DIR)
+    code, out, _ = _run(capsys, "verify", f"{fn}.src", "--fn", fn,
+                        "--trials", "100", "--seed", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fn]
 
 
 def test_cli_analyze_unknown_function_fails_in_one_line(capsys):

@@ -224,3 +224,21 @@ def test_ideal_case_monotone_in_scrutinee():
     assert sem_leq(small, big)
     assert sem_leq(ideal_case(small, f0, f1, cost(0)),
                    ideal_case(big, f0, f1, cost(0)))
+
+
+@pytest.mark.parametrize("items", [
+    (),
+    (SNum("size", ext(3)),),
+    (SMap(SizeMap.of({NAT: 2})),),
+    (SPair(SFun(lambda v: v), SStar()),),
+])
+def test_antichain_returns_short_inputs_unchanged(items, monkeypatch):
+    import costrec.semdom as semdom
+
+    def walked(v):
+        raise AssertionError("a 0- or 1-item antichain needs no pruning")
+
+    monkeypatch.setattr(semdom, "is_function_free", walked)
+    assert antichain(items) is items
+    out = antichain(list(items))
+    assert out == items and all(a is b for a, b in zip(out, items))
