@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 
 from . import source_ast as S
 from .cost_eval import EvalError, eval_expr, program_env
@@ -30,6 +31,14 @@ ANALYSIS_ERRORS = (
     ModelError, HarnessError, EvalError, ExtractError, RecTypeError,
     UnsupportedFeature, RecursionError,
 )
+
+# A function-valued fold (rev's accumulator) applies one table entry per unit
+# of potential, and evaluation recurses once per constructor of a value, so
+# commands run on a thread with room for deep inputs.  A call that re-enters
+# the interpreter through C took about 750 bytes of stack on CPython 3.11
+# (x86-64 Linux), so the frame limit stays well inside the stack.
+_STACK_BYTES = 256 << 20
+_MAX_FRAMES = 100_000
 
 # CPython appends where the overflow happened ("... while calling a Python
 # object"), which depends on the code path, not on the input
@@ -122,11 +131,18 @@ def _parse_at(token: str, model, arg_src_ty, program) -> object:
     token = token.strip()
     if model.name == "exact":
         expr = S.parse_expr(token, program.datatypes)
-        value = eval_expr(S.EMPTY_ENV, expr).value
+        try:
+            value = eval_expr(S.EMPTY_ENV, expr).value
+        except EvalError as exc:
+            raise UsageError(f"--at expects a closed value for the exact model; "
+                             f"got {token!r}: {exc}")
         return value_potential(model, value, arg_src_ty)
     if token in ("inf", "top"):
         return model.top(pot_ty)
     if token.startswith("{"):
+        if model.name not in ("allcons", "merged"):
+            raise UsageError(f"--at gives a map, which only the allcons and merged "
+                             f"models take; got {token!r}")
         entries = {}
         body = token.strip("{}").strip()
         support = support_datatypes(pot_ty)
@@ -280,7 +296,7 @@ def main(argv=None) -> int:
     if hasattr(args, "fn_name2"):
         args.fn = args.fn_name2
     try:
-        return command(args)
+        return _on_deep_stack(command, args)
     except (S.SourceError, SrcTypeError) as exc:
         _report_error(args, str(exc), {"error": exc.msg, "line": exc.line, "column": exc.col})
         return 1
@@ -294,6 +310,33 @@ def main(argv=None) -> int:
             msg = _TOO_DEEP
         _report_error(args, f"{kind}: {msg}", {"error": msg, "kind": kind})
         return 1
+
+
+def _on_deep_stack(command, args) -> int:
+    """``command(args)`` on a thread with a large stack and recursion limit;
+    whatever it raises is raised here.
+    """
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["code"] = command(args)
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    old_stack = threading.stack_size(_STACK_BYTES)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, _MAX_FRAMES))
+    try:
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(old_stack)
+        sys.setrecursionlimit(old_limit)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["code"]
 
 
 def _report_error(args, line: str, doc: dict) -> None:

@@ -44,7 +44,7 @@ from .rec_lang import (
 from .semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SPoly, SStar,
     SemError, SemValue, SizeMap, UnsupportedFeature, XCons, XInj, antichain,
-    ext, ideal_case, sem_join_vals, sem_leq, sem_meet_vals,
+    ideal_case, sem_join_vals, sem_leq, sem_meet_vals,
 )
 
 
@@ -61,6 +61,10 @@ def support_datatypes(ty: RecType) -> frozenset:
     """All closed inductive types occurring syntactically in ``ty``
     (including itself), the index set for size maps.
     """
+    return S.type_memo(ty, "_support", _support_datatypes)
+
+
+def _support_datatypes(ty: RecType) -> frozenset:
     out: set = set()
 
     def go_ty(t: RecType):
@@ -230,6 +234,36 @@ class Model:
              cache_key=None) -> SemValue:
         raise NotImplementedError
 
+    def _tabulated_fold(self, delta: RInd, result_ty: RecType, step, n: ExtNat,
+                        cache_key, decompose, count, fixed=None) -> SemValue:
+        """The abstract fold at main constructor count ``n``: the join (the
+        meet in the lower model) of the step over ``decompose(i)``, the
+        decompositions at main count ``i``, or the bottom where that is None.
+
+        A decomposition's recursive positions have main counts from 1 to
+        ``i - 1`` (``count`` reads one), so the table of results fills
+        bottom-up and a large ``n`` never deepens the Python stack.  Tables
+        live in ``_fold_cache[cache_key]``, one per ``fixed``: the size-map
+        entries other than the main count, which recursive positions inherit.
+        """
+        if not shape_is_polynomial(delta.functor):
+            raise UnsupportedFeature("fold over a non-polynomial shape functor")
+        lower = self.direction == "lower"
+        if n.is_inf:
+            return self.bottom(result_ty) if lower else self.top(result_ty)
+        tables = self._fold_cache.setdefault(cache_key, {}) if cache_key else {}
+        table = tables.setdefault(fixed, {})
+        if n.value not in table:
+            combine = self.meet if lower else self.join
+            rec = SFun(lambda m: table[count(m)])
+            for i in range(min(n.value, 1), n.value + 1):
+                if i in table:
+                    continue
+                zs = decompose(i)
+                table[i] = self.bottom(result_ty) if zs is None else combine(
+                    [step(self.map_shape(delta.functor, rec, z)) for z in zs], result_ty)
+        return table[n.value]
+
     # -- polymorphism -----------------------------------------------------------
 
     def tyabs(self, fn: Callable[[RecType], SemValue], var: str,
@@ -269,43 +303,57 @@ class Model:
         raise ModelError(f"not a shape functor: {f!r}")
 
 
-def _shape_min_need(f: RecShape, mode: str) -> int:
-    """Least main-constructor budget a value of this shape can consume."""
+def _shape_sizes(f: RecShape) -> tuple[bool, Optional[int]]:
+    """The sizes that maximal values of shape ``f`` take, products summing
+    their sides, as ``(zero, least)``: 0 when ``zero`` holds, and every size
+    from ``least`` up when it is not None.  Sums and products keep sets of
+    this form.  Constants count as inhabited; one that is not (an allcons
+    constant clipped away) leaves every product around it empty, whatever
+    the split.
+    """
     match f:
         case RSRec():
-            return 1
+            return False, 1
         case RSConst(_):
-            return 0
-        case RSProd(l, r):
-            if mode == "height":
-                return max(_shape_min_need(l, mode), _shape_min_need(r, mode))
-            return _shape_min_need(l, mode) + _shape_min_need(r, mode)
+            return True, None
         case RSSum(l, r):
-            return 0  # the empty ideal consumes nothing
-        case RSArrow(_, _):
-            raise UnsupportedFeature(
-                "arrow shape functors cannot be enumerated under size abstraction"
-            )
-    raise ModelError(f"not a shape functor: {f!r}")
-
-
-def _shape_max_useful(f: RecShape, budget: int, mode: str) -> int:
-    match f:
-        case RSRec():
-            return budget
-        case RSConst(_):
-            return 0
+            bounds = [m for _, m in (_shape_sizes(l), _shape_sizes(r)) if m is not None]
+            return True, min(bounds, default=None)
         case RSProd(l, r):
-            if mode == "height":
-                return budget
-            return min(budget, _shape_max_useful(l, budget, mode) + _shape_max_useful(r, budget, mode))
-        case RSSum(_, _):
-            return budget
+            (zl, ml), (zr, mr) = _shape_sizes(l), _shape_sizes(r)
+            bounds = []
+            if ml is not None and mr is not None:
+                bounds.append(ml + mr)
+            if ml is not None and zr:
+                bounds.append(ml)
+            if mr is not None and zl:
+                bounds.append(mr)
+            return zl and zr, min(bounds, default=None)
         case RSArrow(_, _):
             raise UnsupportedFeature(
                 "arrow shape functors cannot be enumerated under size abstraction"
             )
     raise ModelError(f"not a shape functor: {f!r}")
+
+
+def _has_size(sizes: tuple[bool, Optional[int]], s: int) -> bool:
+    zero, least = sizes
+    return (s == 0 and zero) or (least is not None and s >= least)
+
+
+def _size_splits(l: RecShape, r: RecShape, budget: int) -> list[tuple[int, int]]:
+    """The splits (bl, br) for the maximal pairs of shape ``l * r`` with
+    size at most ``budget``: every split both sides can fill exactly, of the
+    largest total that has one.  Splits of one total are pairwise
+    incomparable, so pairs drawn from antichains at distinct splits are too.
+    """
+    left, right = _shape_sizes(l), _shape_sizes(r)
+    for total in range(budget, -1, -1):
+        splits = [(bl, total - bl) for bl in range(total + 1)
+                  if _has_size(left, bl) and _has_size(right, total - bl)]
+        if splits:
+            return splits
+    return []
 
 
 class SizeHeightModel(Model):
@@ -358,33 +406,24 @@ class SizeHeightModel(Model):
         return SNum("size", ONE + self.size_of(delta.functor, z))
 
     def _enumerate_max(self, f: RecShape, budget: int) -> list[SemValue]:
-        """Maximal z with size_F(z) <= budget, as an antichain."""
+        """Maximal z with size_F(z) <= budget: an antichain by construction,
+        in the canonical order of ``antichain``.
+        """
         match f:
             case RSRec():
                 return [SNum("size", ExtNat(budget))] if budget >= 1 else []
             case RSConst(t):
                 return [self.top(t)]
             case RSSum(l, r):
-                return [SIdeal(
-                    antichain(self._enumerate_max(l, budget)),
-                    antichain(self._enumerate_max(r, budget)),
-                )]
+                return [SIdeal(tuple(self._enumerate_max(l, budget)),
+                               tuple(self._enumerate_max(r, budget)))]
             case RSProd(l, r):
-                out: list[SemValue] = []
-                if self.mode == "height":
-                    for a in self._enumerate_max(l, budget):
-                        for b in self._enumerate_max(r, budget):
-                            out.append(SPair(a, b))
-                    return list(antichain(out))
-                lo = _shape_min_need(l, self.mode)
-                hi = budget - _shape_min_need(r, self.mode)
-                hi = min(hi, _shape_max_useful(l, budget, self.mode))
-                for bl in range(lo, hi + 1):
-                    br = budget - bl
-                    for a in self._enumerate_max(l, bl):
-                        for b in self._enumerate_max(r, min(br, _shape_max_useful(r, br, self.mode))):
-                            out.append(SPair(a, b))
-                return list(antichain(out))
+                # height: a product of antichains is one; size: see _size_splits
+                splits = ([(budget, budget)] if self.mode == "height"
+                          else _size_splits(l, r, budget))
+                return sorted((SPair(a, b) for bl, br in splits
+                               for a in self._enumerate_max(l, bl)
+                               for b in self._enumerate_max(r, br)), key=str)
             case RSArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow shape functors are not supported under size abstraction"
@@ -400,29 +439,16 @@ class SizeHeightModel(Model):
         zs = self._enumerate_max(delta.functor, x.num.value - 1)
         return self.join(zs, unfold_ty)
 
+    def _decompose(self, f: RecShape, n: int) -> Optional[list[SemValue]]:
+        return self._enumerate_max(f, n - 1)
+
     def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
              cache_key=None) -> SemValue:
         if not isinstance(x, SNum):
             raise ModelError("folding a non-size")
-        if not shape_is_polynomial(delta.functor):
-            raise UnsupportedFeature("fold over a non-polynomial shape functor")
-        cache = self._fold_cache.setdefault(cache_key, {}) if cache_key else None
-
-        def go(n: ExtNat) -> SemValue:
-            if cache is not None and n in cache:
-                return cache[n]
-            if n.is_inf:
-                out = self.top(result_ty)
-            else:
-                zs = self._enumerate_max(delta.functor, n.value - 1)
-                rec = SFun(lambda m: go(m.num) if isinstance(m, SNum) else go(ext(0)))
-                images = [step(self.map_shape(delta.functor, rec, z)) for z in zs]
-                out = self.join(images, result_ty)
-            if cache is not None:
-                cache[n] = out
-            return out
-
-        return go(x.num)
+        return self._tabulated_fold(
+            delta, result_ty, step, x.num, cache_key,
+            lambda n: self._decompose(delta.functor, n), lambda m: m.num.value)
 
 
 class LowerSizeModel(SizeHeightModel):
@@ -478,33 +504,10 @@ class LowerSizeModel(SizeHeightModel):
         zs = self._enumerate_min(delta.functor, x.num.value - 1)
         return self.meet(zs, unfold_ty)
 
-    def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
-             cache_key=None) -> SemValue:
-        if not isinstance(x, SNum):
-            raise ModelError("folding a non-size")
-        if not shape_is_polynomial(delta.functor):
-            raise UnsupportedFeature("fold over a non-polynomial shape functor")
-        cache = self._fold_cache.setdefault(cache_key, {}) if cache_key else None
-
-        def go(n: ExtNat) -> SemValue:
-            if cache is not None and n in cache:
-                return cache[n]
-            if n.is_inf:
-                out = self.bottom(result_ty)
-            elif n.value <= 1:
-                # the empty ideal decomposition qualifies, so the meet is
-                # the bottom of the codomain
-                out = self.bottom(result_ty)
-            else:
-                zs = self._enumerate_min(delta.functor, n.value - 1)
-                rec = SFun(lambda m: go(m.num) if isinstance(m, SNum) else go(ext(1)))
-                images = [step(self.map_shape(delta.functor, rec, z)) for z in zs]
-                out = self.meet(images, result_ty)
-            if cache is not None:
-                cache[n] = out
-            return out
-
-        return go(x.num)
+    def _decompose(self, f: RecShape, n: int) -> Optional[list[SemValue]]:
+        # the empty ideal decomposition qualifies up to main count 1, so the
+        # meet there is the bottom of the codomain
+        return None if n <= 1 else self._enumerate_min(f, n - 1)
 
 
 def _shape_value_type(f: RecShape) -> RecType:
@@ -656,20 +659,13 @@ class AllConsModel(Model):
                 v = self._clip_top(t, phi)
                 return [v] if v is not None else []
             case RSSum(l, r):
-                return [SIdeal(
-                    antichain(self._enumerate_max(l, delta, phi, budget)),
-                    antichain(self._enumerate_max(r, delta, phi, budget)),
-                )]
+                return [SIdeal(tuple(self._enumerate_max(l, delta, phi, budget)),
+                               tuple(self._enumerate_max(r, delta, phi, budget)))]
             case RSProd(l, r):
-                out: list[SemValue] = []
-                lo = _shape_min_need(l, "size")
-                hi = budget - _shape_min_need(r, "size")
-                hi = min(hi, _shape_max_useful(l, budget, "size"))
-                for bl in range(lo, hi + 1):
-                    for a in self._enumerate_max(l, delta, phi, bl):
-                        for b in self._enumerate_max(r, delta, phi, budget - bl):
-                            out.append(SPair(a, b))
-                return list(antichain(out))
+                # an antichain by construction, as in the size model
+                return sorted((SPair(a, b) for bl, br in _size_splits(l, r, budget)
+                               for a in self._enumerate_max(l, delta, phi, bl)
+                               for b in self._enumerate_max(r, delta, phi, br)), key=str)
             case RSArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow shape functors are not supported under size abstraction"
@@ -690,32 +686,14 @@ class AllConsModel(Model):
              cache_key=None) -> SemValue:
         if not isinstance(x, SMap):
             raise ModelError("folding a non-size-map")
-        if not shape_is_polynomial(delta.functor):
-            raise UnsupportedFeature("fold over a non-polynomial shape functor")
-        cache = self._fold_cache.setdefault(cache_key, {}) if cache_key else None
-
-        def go(phi: SizeMap) -> SemValue:
-            if cache is not None and phi in cache:
-                return cache[phi]
-            main = phi.get(delta)
-            if main.is_inf:
-                out = self.top(result_ty)
-            else:
-                zs = self._enumerate_max(delta.functor, delta, phi, main.value - 1)
-
-                def rec_call(m):
-                    if not isinstance(m, SMap):
-                        raise ModelError("recursive fold position expects a size map")
-                    return go(m.sizemap)
-
-                rec = SFun(rec_call)
-                images = [step(self.map_shape(delta.functor, rec, z)) for z in zs]
-                out = self.join(images, result_ty)
-            if cache is not None:
-                cache[phi] = out
-            return out
-
-        return go(x.sizemap)
+        phi = x.sizemap
+        # recursive positions carry the argument's other entries in the
+        # support of delta; only the main count varies
+        fixed = SizeMap.of({d: phi.get(d) for d in support_datatypes(delta) if d != delta})
+        return self._tabulated_fold(
+            delta, result_ty, step, phi.get(delta), cache_key,
+            lambda n: self._enumerate_max(delta.functor, delta, fixed, n - 1),
+            lambda m: m.sizemap.get(delta).value, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,10 @@ def antichain(items: Iterable[SemValue]) -> tuple:
     items = tuple(items)
     if len(items) < 2 or not all(is_function_free(x) for x in items):
         return items
+    # a later copy of a generator is always dominated by what the pass below
+    # has kept, so dropping copies first (keeping the first) changes nothing
     out: list[SemValue] = []
-    for x in items:
+    for x in dict.fromkeys(items):
         if any(sem_leq(x, y) for y in out):
             continue
         out = [y for y in out if not sem_leq(y, x)]

@@ -234,8 +234,9 @@ def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFun
 
 
 def resolve_holes(ty):
-    """Rebuild a type with solved unification holes replaced by their
-    solutions (duck-typed; unsolved holes are returned as-is).
+    """A type with solved unification holes replaced by their solutions
+    (duck-typed; unsolved holes are returned as-is).  A part with nothing to
+    replace is returned itself, not rebuilt.
     """
     cell = getattr(ty, "cell", None)
     while cell is not None and cell.solution is not None:
@@ -246,16 +247,12 @@ def resolve_holes(ty):
     match ty:
         case TVar() | TUnit():
             return ty
-        case TProd(l, r):
-            return TProd(resolve_holes(l), resolve_holes(r))
-        case TSum(l, r):
-            return TSum(resolve_holes(l), resolve_holes(r))
-        case TArrow(d, c):
-            return TArrow(resolve_holes(d), resolve_holes(c))
+        case TProd(l, r) | TSum(l, r) | TArrow(l, r):
+            return _rebuilt(ty, (l, r), (resolve_holes(l), resolve_holes(r)))
         case TSusp(b):
-            return TSusp(resolve_holes(b))
+            return _rebuilt(ty, (b,), (resolve_holes(b),))
         case TInd(f, label):
-            return TInd(_resolve_shape_holes(f), label)
+            return _rebuilt(ty, (f, label), (_resolve_shape_holes(f), label))
     return ty
 
 
@@ -264,14 +261,21 @@ def _resolve_shape_holes(f):
         case FRec():
             return f
         case FConst(t):
-            return FConst(resolve_holes(t))
-        case FProd(l, r):
-            return FProd(_resolve_shape_holes(l), _resolve_shape_holes(r))
-        case FSum(l, r):
-            return FSum(_resolve_shape_holes(l), _resolve_shape_holes(r))
+            return _rebuilt(f, (t,), (resolve_holes(t),))
+        case FProd(l, r) | FSum(l, r):
+            return _rebuilt(f, (l, r), (_resolve_shape_holes(l), _resolve_shape_holes(r)))
         case FArrow(d, b):
-            return FArrow(resolve_holes(d), _resolve_shape_holes(b))
+            return _rebuilt(f, (d, b), (resolve_holes(d), _resolve_shape_holes(b)))
     return f
+
+
+def _rebuilt(node, parts: tuple, resolved: tuple):
+    """``node`` if resolving changed none of its parts, else a copy of it
+    made from the resolved parts.
+    """
+    if all(a is b for a, b in zip(parts, resolved)):
+        return node
+    return type(node)(*resolved)
 
 
 def types_equal(a, b) -> bool:

@@ -282,20 +282,30 @@ def test_cli_analysis_error_as_json(capsys, monkeypatch):
                                "kind": "HarnessError"}
 
 
-@pytest.mark.parametrize("file,model,fn,at", [
-    ("rev.src", "size", "rev", "100"),
-    ("copy.src", "height", "copy", "90"),
+# closed forms of the cost and the printed potential: copy in the height
+# model costs 2^n - 1, plus costs n with potential n + m - 1, and rev and mem
+# cost n
+@pytest.mark.parametrize("file,model,fn,at,cost,potential", [
+    pytest.param("copy.src", "height", "copy", "90", 2 ** 90 - 1, "90",
+                 id="copy-height-90"),
+    pytest.param("rev.src", "size", "rev", "100", 100, "100", id="rev-size-100"),
+    pytest.param("plus.src", "size", "plus", "160;160", 160, "319",
+                 id="plus-size-160-160"),
+    pytest.param("copy.src", "height", "copy", "1000", 2 ** 1000 - 1, "1000",
+                 id="copy-height-1000"),
+    pytest.param("mem.src", "height", "mem", "1000;inf", 1000, "{*}⊔{*}",
+                 id="mem-height-1000-inf"),
+    pytest.param("rev.src", "merged", "rev", "256", 256,
+                 "{list<nat>: 256, nat: inf} (main count 256)", id="rev-merged-256"),
 ])
-def test_cli_analyze_too_deep_fails_in_one_line(capsys, file, model, fn, at):
-    # the abstract folds recurse once per unit of potential, so these inputs
-    # overflow Python's recursion limit; the CLI reports it on one line
-    argv = ["analyze", str(CORPUS_DIR / file), "--model", model, "--fn", fn, "--at", at]
-    code, out, err = _run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err == "costrec: RecursionError: maximum recursion depth exceeded\n"
-    code, _, err = _run(capsys, *argv, "--json")
-    assert code == 1
-    assert json.loads(err)["kind"] == "RecursionError"
+def test_cli_analyze_deep_inputs_complete(capsys, file, model, fn, at, cost, potential):
+    # the abstract folds fill their tables bottom-up, and rev's function-valued
+    # fold applies one entry per unit of potential on the CLI's deep stack
+    code, out, err = _run(capsys, "analyze", str(CORPUS_DIR / file),
+                          "--model", model, "--fn", fn, "--at", at)
+    assert (code, err) == (0, "")
+    assert f"  cost bound: {cost}\n" in out
+    assert out.endswith(f"  potential:  {potential}\n")
 
 
 def test_cli_recursion_error_message_does_not_depend_on_the_call_site(capsys, monkeypatch):
@@ -321,6 +331,18 @@ def test_cli_recursion_error_message_does_not_depend_on_the_call_site(capsys, mo
      "--at names 'list<nat>', which is not a datatype of the argument type tree<nat>"),
     ("sumtree.src", "allcons", "sumtree", "{list: 3}",
      "bad datatype 'list' in --at: datatype list expects 1 argument(s), got 0"),
+    ("copy.src", "size", "copy", "{tree<nat>: 3}",
+     "--at gives a map, which only the allcons and merged models take; "
+     "got '{tree<nat>: 3}'"),
+    ("copy.src", "height", "copy", "{tree<nat>: 3}",
+     "--at gives a map, which only the allcons and merged models take; "
+     "got '{tree<nat>: 3}'"),
+    ("plus.src", "lower", "plus", "{nat: 3};2",
+     "--at gives a map, which only the allcons and merged models take; "
+     "got '{nat: 3}'"),
+    ("copy.src", "exact", "copy", "abc",
+     "--at expects a closed value for the exact model; got 'abc': "
+     "unbound variable abc at runtime"),
 ])
 def test_cli_analyze_bad_at_token_is_a_usage_error(capsys, file, model, fn, at, message):
     code, out, err = _run(capsys, "analyze", str(CORPUS_DIR / file),

@@ -13,7 +13,7 @@ from conftest import CORPUS_FUNCTIONS, corpus_text
 from costrec.extract import potential_type
 from costrec.harness import gen_value, prepare
 from costrec.models import support_datatypes, value_potential
-from costrec.source_ast import parse_program, subst_shape
+from costrec.source_ast import parse_program, parse_type, subst_shape
 from costrec.typecheck import check_program
 
 
@@ -52,7 +52,9 @@ def _types_and_values():
         for copy in range(2):
             checked = check_program(parse_program(corpus_text(name)))
             for fn in fns:
-                prepared = prepare(checked, fn, ("exact", "size", "allcons"))
+                # instantiate at a fresh nat too, not the shared NAT_TYPE
+                prepared = prepare(checked, fn, ("exact", "size", "allcons"),
+                                   instantiate_at=parse_type("nat"))
                 for i, ty in enumerate(prepared.arg_types):
                     where = (name, fn, i)
                     out.append(((*where, "type"), ty))

@@ -4,13 +4,15 @@ soundness of the size-order axioms.
 """
 
 import random
+import sys
 
 import pytest
 
-from conftest import CORPUS_FILES, corpus_checked, corpus_extracted
+from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted
 from costrec.extract import potential_type
+from costrec.harness import prepare
 from costrec.models import (
-    AllConsModel, ExactModel, LowerSizeModel, MergedModel, SemEnv,
+    AllConsModel, ExactModel, LowerSizeModel, MergedModel, SemEnv, _min_antichain,
     SizeHeightModel, denote, denote_closed, galois_abs, galois_conc,
     make_model, observable, support_datatypes, value_potential,
 )
@@ -18,7 +20,7 @@ from costrec.rec_lang import (
     RC, RCase, RecElab, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
     RSRec, RSSum, RSum, RUnit, RUnitE, RVar, RZero, ROne, check_rec,
     map_macro_typed, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
-    RPlus,
+    RPlus, pretty_rec_type,
 )
 from costrec.semdom import (
     INF, ONE, ZERO, SFun, SIdeal, SMap, SNum, SPair, SStar, SizeMap,
@@ -608,3 +610,121 @@ def test_observable_classification():
     assert not observable(parse_type("nat -> nat"))
     assert not observable(parse_type("susp nat"))
     assert not observable(parse_type("mu t. unit + (nat -> t)"))
+
+
+# ---------------------------------------------------------------------------
+# Decomposition enumerators and the tabulated fold
+# ---------------------------------------------------------------------------
+
+X = RSRec()
+ONE_SHAPE = RSConst(RUnit())
+BIT = RSSum(ONE_SHAPE, ONE_SHAPE)
+HAND_SHAPES = {
+    "x*(1+1)*x": RSProd(RSProd(X, BIT), X),
+    "x*((1+1)*x)": RSProd(X, RSProd(BIT, X)),
+    "1+x*(1+x)": RSSum(ONE_SHAPE, RSProd(X, RSSum(ONE_SHAPE, X))),
+    "x*nat": RSProd(X, RSConst(NAT)),
+    "(1+x*x)*x": RSProd(RSSum(ONE_SHAPE, RSProd(X, X)), X),
+    "(1+x*x)*(1+1)": RSProd(RSSum(ONE_SHAPE, RSProd(X, X)), BIT),
+}
+
+
+def _enumerated_datatypes():
+    out = {}
+    for name, fns in CORPUS_FUNCTIONS.items():
+        for fn in fns:
+            p = prepare(corpus_checked(name), fn, (), corpus_extracted(name))
+            for t in p.arg_types + [p.result_type]:
+                for d in support_datatypes(potential_type(t)):
+                    out[pretty_rec_type(d)] = d
+    for label, shape in HAND_SHAPES.items():
+        out[label] = RInd(shape, label)
+    return out
+
+
+DATATYPES = _enumerated_datatypes()
+
+
+def _pruned_max(leaf, f, budget, height):
+    """Maximal decompositions the slow way: products try every split of the
+    budget (the whole budget on both sides in height mode) and prune.
+    """
+    match f:
+        case RSSum(l, r):
+            return [SIdeal(antichain(_pruned_max(leaf, l, budget, height)),
+                           antichain(_pruned_max(leaf, r, budget, height)))]
+        case RSProd(l, r):
+            splits = [(budget, budget)] if height else [
+                (bl, budget - bl) for bl in range(budget + 1)]
+            return list(antichain(
+                SPair(a, b) for bl, br in splits
+                for a in _pruned_max(leaf, l, bl, height)
+                for b in _pruned_max(leaf, r, br, height)))
+    return leaf(f, budget)
+
+
+@pytest.mark.parametrize("label", sorted(DATATYPES))
+@pytest.mark.parametrize("mode", ["size", "height"])
+def test_size_enumeration_is_an_antichain_by_construction(label, mode):
+    m = SizeHeightModel(mode)
+    f = DATATYPES[label].functor
+    for budget in range(17):
+        zs = m._enumerate_max(f, budget)
+        assert tuple(zs) == antichain(zs), (budget, zs)
+        assert zs == _pruned_max(m._enumerate_max, f, budget, mode == "height"), budget
+
+
+@pytest.mark.parametrize("label", sorted(DATATYPES))
+@pytest.mark.parametrize("other", [0, 3, None])
+def test_allcons_enumeration_is_an_antichain_by_construction(label, other):
+    m = AllConsModel()
+    delta = DATATYPES[label]
+    phi = SizeMap.of({d: ext(other) for d in support_datatypes(delta) if d != delta})
+
+    def leaf(f, budget):
+        return m._enumerate_max(f, delta, phi, budget)
+
+    for budget in range(17):
+        zs = leaf(delta.functor, budget)
+        assert tuple(zs) == antichain(zs), (budget, zs)
+        assert zs == _pruned_max(leaf, delta.functor, budget, False), budget
+
+
+@pytest.mark.parametrize("label", sorted(DATATYPES))
+def test_lower_enumeration_is_a_min_antichain(label):
+    m = LowerSizeModel()
+    for budget in range(17):
+        zs = m._enumerate_min(DATATYPES[label].functor, budget)
+        assert zs == _min_antichain(zs), budget
+
+
+def _count_down(m):
+    # the step of the fold that counts a numeral's successors
+    return lambda z: m.case(z, lambda _u: cost(0),
+                            lambda r: SNum("cost", r.num + ONE), RC())
+
+
+@pytest.mark.parametrize("model_name", ["size", "height", "lower", "allcons", "merged"])
+def test_fold_does_not_recurse_per_unit_of_potential(model_name):
+    # one Python frame per unit of potential would overflow at this depth
+    m = make_model(model_name)
+    n = 3 * sys.getrecursionlimit()
+    x = phi_nat(n) if model_name in ("allcons", "merged") else size(n)
+    assert m.fold(NAT, RC(), _count_down(m), x) == cost(n - 1)
+
+
+def test_fold_table_is_filled_once_per_cache_key():
+    m = SizeHeightModel("size")
+    calls = []
+    count = _count_down(m)
+
+    def step(z):
+        calls.append(1)
+        return count(z)
+
+    assert m.fold(NAT, RC(), step, size(50), cache_key="k") == cost(49)
+    assert len(calls) == 50  # main counts 1..50, one decomposition each
+    assert m.fold(NAT, RC(), step, size(30), cache_key="k") == cost(29)
+    assert len(calls) == 50
+    assert m.fold(NAT, RC(), step, size(60), cache_key="k") == cost(59)
+    assert len(calls) == 60

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import costrec.semdom as semdom
+
 from costrec.semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SStar, SemError,
     SizeMap, antichain, ext, ideal_join, ideal_meet, is_function_free,
@@ -242,3 +244,29 @@ def test_antichain_returns_short_inputs_unchanged(items, monkeypatch):
     assert antichain(items) is items
     out = antichain(list(items))
     assert out == items and all(a is b for a, b in zip(out, items))
+
+
+def _pairwise_antichain(items):
+    # the pruning pass alone, without dropping copies first
+    out = []
+    for x in items:
+        if any(sem_leq(x, y) for y in out):
+            continue
+        out = [y for y in out if not sem_leq(y, x)]
+        out.append(x)
+    return tuple(sorted(out, key=str))
+
+
+def test_antichain_drops_copies_first_without_changing_the_result(monkeypatch):
+    a, b, c = SPair(size(1), size(3)), SPair(size(3), size(1)), SPair(size(1), size(1))
+    items = [a, b, a, c, b, a, c]
+    assert antichain(items) == _pairwise_antichain(items) == (a, b)
+    # of two equal-ordered generators the first wins, copies or not
+    mixed = [cost(2), size(2), cost(2), size(2)]
+    assert antichain(mixed) == _pairwise_antichain(mixed) == (cost(2),)
+    # copies of one generator cost no comparisons
+    calls = []
+    real = semdom.sem_leq
+    monkeypatch.setattr(semdom, "sem_leq", lambda x, y: calls.append(1) or real(x, y))
+    assert antichain([a] * 5) == (a,)
+    assert calls == []

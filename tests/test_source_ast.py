@@ -6,8 +6,9 @@ from costrec.source_ast import (
     BOOL, FConst, FProd, FRec, FSum, Inj, Lam, NAT_TYPE, SourceError, TInd,
     TProd, TSum, TUnit, TVar, Unit, Var, VCons, VInj, alpha_eq, free_tyvars,
     iter_subexprs, numeral, parse_expr, parse_program, parse_type, pretty,
-    pretty_type, subst_shape, Cons,
+    pretty_type, subst_shape, Cons, TArrow, resolve_holes, subst_tyvars,
 )
+from costrec.typecheck import fresh_meta
 
 
 def test_identity_function_parses():
@@ -152,3 +153,38 @@ def test_explicit_instantiation_syntax():
 def test_value_pretty_uses_constructor_names():
     v = VCons(NAT_TYPE, VInj(1, VCons(NAT_TYPE, VInj(0, __import__("costrec.source_ast", fromlist=["VUnit"]).VUnit()))))
     assert pretty(v) == "#1"
+
+
+def _corpus_types(name):
+    """Every scheme body, argument type and datatype of a checked corpus
+    program, the argument types instantiated at nat as the harness does.
+    """
+    checked = corpus_checked(name)
+    out = []
+    for scheme in checked.schemes.values():
+        out.append(scheme.body)
+        cursor = subst_tyvars(scheme.body, {a: NAT_TYPE for a in scheme.bound})
+        while isinstance(cursor, TArrow):
+            out.append(cursor.dom)
+            cursor = cursor.cod
+        out.append(cursor)
+    for decl in checked.program.datatypes.values():
+        out.append(decl.instantiate(tuple(NAT_TYPE for _ in decl.params)))
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_resolve_holes_returns_hole_free_types_themselves(name):
+    for ty in _corpus_types(name):
+        assert resolve_holes(ty) is ty, pretty_type(ty)
+
+
+def test_resolve_holes_rebuilds_only_around_solved_holes():
+    meta = fresh_meta()
+    meta.cell.solution = NAT_TYPE
+    kept = TSum(TUnit(), TVar("a"))
+    out = resolve_holes(TProd(kept, meta))
+    assert out == TProd(kept, NAT_TYPE)
+    assert out.left is kept and out.right is NAT_TYPE
+    unsolved = fresh_meta()
+    assert resolve_holes(unsolved) is unsolved
