@@ -234,6 +234,13 @@ class Model:
              cache_key=None) -> SemValue:
         raise NotImplementedError
 
+    def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
+        """The canonical potential of a source value of inductive type ty
+        (see ``value_potential``): what replaying ``cons`` at each of its
+        constructors would give.
+        """
+        raise NotImplementedError
+
     def _tabulated_fold(self, delta: RInd, result_ty: RecType, step, n: ExtNat,
                         cache_key, decompose, count, fixed=None) -> SemValue:
         """The abstract fold at main constructor count ``n``: the join (the
@@ -404,6 +411,9 @@ class SizeHeightModel(Model):
 
     def cons(self, delta: RInd, z: SemValue) -> SemValue:
         return SNum("size", ONE + self.size_of(delta.functor, z))
+
+    def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
+        return SNum("size", ExtNat(_main_constructors(v, ty, self.mode == "height")))
 
     def _enumerate_max(self, f: RecShape, budget: int) -> list[SemValue]:
         """Maximal z with size_F(z) <= budget: an antichain by construction,
@@ -612,6 +622,9 @@ class AllConsModel(Model):
         sm = self.size_all(delta.functor, delta, z)
         return SMap(sm.set(delta, sm.get(delta) + ONE))
 
+    def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
+        return SMap(_census(v, ty))
+
     # -- decomposition ------------------------------------------------------------
 
     def _clip_top(self, ty: RecType, phi: SizeMap) -> Optional[SemValue]:
@@ -815,6 +828,9 @@ class ExactModel(Model):
     def cons(self, delta: RInd, z: SemValue) -> SemValue:
         return XCons(delta, z)
 
+    def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
+        return _exact_value(v, ty)
+
     def dest(self, delta: RInd, x: SemValue) -> SemValue:
         if not isinstance(x, XCons):
             raise ModelError("exact dest expects a constructor value")
@@ -1009,37 +1025,168 @@ def _observable_shape(f: S.ShapeFunctor) -> bool:
     return False
 
 
-def _unfolded(ty: S.TInd) -> S.SrcType:
-    return S.type_memo(ty, "_unfolded", lambda t: S.subst_shape(t.functor, t))
-
-
 def value_potential(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:
-    """The least potential bounding a concrete first-order value, built by
-    replaying the value-bounding clauses constructively (unit to star, pairs
-    to pairs, injections through the model's injection, constructors through
-    the model's semantic constructor).
+    """The least potential bounding a concrete first-order value: unit,
+    pairs and injections above the first inductive type go to star, pairs
+    and the model's injection, and a value of inductive type is measured by
+    the model's ``embed_inductive`` in one iterative walk.
     """
     ty = _resolved(ty)
     if not observable(ty):
         raise ModelError(f"type {S.pretty_type(ty)} is not observable")
-    return _value_potential(model, v, ty)
+    return _embed(model, v, ty)
 
 
-def _value_potential(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:
-    match (v, ty):
-        case (S.VUnit(), S.TUnit()):
+def _embed(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:
+    # recursion follows the type here, not the value
+    match ty:
+        case S.TInd():
+            return model.embed_inductive(v, ty)
+        case S.TUnit() if isinstance(v, S.VUnit):
             return SStar()
-        case (S.VPair(l, r), S.TProd(tl, tr)):
-            return SPair(_value_potential(model, l, tl), _value_potential(model, r, tr))
-        case (S.VInj(i, a), S.TSum(tl, tr)):
-            sub = _value_potential(model, a, tl if i == 0 else tr)
-            return model.inj(i, sub, potential_type(ty))
-        case (S.VCons(_, a), S.TInd(_, _)):
-            delta = potential_type(ty)
-            assert isinstance(delta, RInd)
-            sub = _value_potential(model, a, _unfolded(ty))
-            return model.cons(delta, sub)
-    raise ModelError(f"value {S.pretty(v)} does not inhabit {S.pretty_type(ty)}")
+        case S.TProd(tl, tr) if isinstance(v, S.VPair):
+            return SPair(_embed(model, v.left, tl), _embed(model, v.right, tr))
+        case S.TSum(tl, tr) if isinstance(v, S.VInj):
+            sub = _embed(model, v.arg, tl if v.index == 0 else tr)
+            return model.inj(v.index, sub, potential_type(ty))
+    raise _uninhabited(v, ty, None)
+
+
+def _uninhabited(v: S.Value, node, ind: Optional[S.TInd]) -> ModelError:
+    """The error for a value found at a type, or at a position of ind's
+    functor, that it does not inhabit.
+    """
+    ty = S.subst_shape(node, ind) if isinstance(node, S.ShapeFunctor) else node
+    return ModelError(f"value {S.pretty(v)} does not inhabit {S.pretty_type(ty)}")
+
+
+# The walks below keep a stack of (value, node) where a node is a type or a
+# position in the functor of the datatype being walked; _REC stands for a
+# main constructor of that datatype.
+_REC = S.FRec()
+
+
+def _main_constructors(v: S.Value, ty: S.TInd, height: bool) -> int:
+    """The main constructors of a value of inductive type ty, following only
+    the recursive positions of ty's functor: how many there are, or with
+    ``height`` how deeply they nest.  Constants hold none of them.
+    """
+    functor = ty.functor
+    best = 0
+    stack = [(v, _REC, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, f, depth = pop()
+        cls = type(f)
+        if cls is S.FRec:
+            if not isinstance(v, S.VCons):
+                raise _uninhabited(v, f, ty)
+            best = max(best, depth) if height else best + 1
+            push((v.arg, functor, depth + 1))
+        elif cls is S.FSum:
+            if not isinstance(v, S.VInj):
+                raise _uninhabited(v, f, ty)
+            push((v.arg, f.left if v.index == 0 else f.right, depth))
+        elif cls is S.FProd:
+            if not isinstance(v, S.VPair):
+                raise _uninhabited(v, f, ty)
+            push((v.left, f.left, depth))
+            push((v.right, f.right, depth))
+    return best
+
+
+def _census(v: S.Value, ty: S.TInd) -> SizeMap:
+    """Constructor counts of a value of inductive type ty: its main
+    constructors at ty, and at every other datatype the most that any one
+    value of it at a constant position holds, as the size maps' join takes.
+    Nested datatypes are closed, so ty never occurs inside its own
+    constants and the two kinds of entry never meet.
+    """
+    counts: dict = {}
+    roots = [(v, ty)]
+    while roots:
+        root, ind = roots.pop()
+        functor = ind.functor
+        n = 0
+        stack = [(root, _REC)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            v, node = pop()
+            cls = type(node)
+            if cls is S.FRec:
+                if not isinstance(v, S.VCons):
+                    raise _uninhabited(v, node, ind)
+                n += 1
+                push((v.arg, functor))
+            elif cls is S.FSum or cls is S.TSum:
+                if not isinstance(v, S.VInj):
+                    raise _uninhabited(v, node, ind)
+                push((v.arg, node.left if v.index == 0 else node.right))
+            elif cls is S.FProd or cls is S.TProd:
+                if not isinstance(v, S.VPair):
+                    raise _uninhabited(v, node, ind)
+                push((v.left, node.left))
+                push((v.right, node.right))
+            elif cls is S.FConst:
+                push((v, node.type))
+            elif cls is S.TInd:
+                roots.append((v, node))
+            elif not isinstance(v, S.VUnit):
+                raise _uninhabited(v, node, ind)
+        delta = potential_type(ind)
+        counts[delta] = max(counts.get(delta, 0), n)
+    return SizeMap.of(counts)
+
+
+# markers on the exact walk's stack: build from the results just made
+_MK_PAIR, _MK_INJ, _MK_CONS = object(), object(), object()
+
+
+def _exact_value(v: S.Value, ty: S.TInd) -> SemValue:
+    """A value of inductive type ty as the exact model's XCons, XInj, SPair
+    and SStar, built bottom-up from an explicit stack.
+    """
+    out: list = []
+    stack = [(v, ty, ty)]  # (value, node, the datatype whose functor node is in)
+    pop, push = stack.pop, stack.append
+    while stack:
+        v, node, ind = pop()
+        if node is _MK_PAIR:
+            right = out.pop()
+            out[-1] = SPair(out[-1], right)
+            continue
+        if node is _MK_INJ:
+            out[-1] = XInj(v, out[-1])
+            continue
+        if node is _MK_CONS:
+            out[-1] = XCons(v, out[-1])
+            continue
+        cls = type(node)
+        if cls is S.FRec or cls is S.TInd:
+            if cls is S.TInd:
+                ind = node
+            if not isinstance(v, S.VCons):
+                raise _uninhabited(v, node, ind)
+            push((potential_type(ind), _MK_CONS, None))
+            push((v.arg, ind.functor, ind))
+        elif cls is S.FSum or cls is S.TSum:
+            if not isinstance(v, S.VInj):
+                raise _uninhabited(v, node, ind)
+            push((v.index, _MK_INJ, None))
+            push((v.arg, node.left if v.index == 0 else node.right, ind))
+        elif cls is S.FProd or cls is S.TProd:
+            if not isinstance(v, S.VPair):
+                raise _uninhabited(v, node, ind)
+            push((None, _MK_PAIR, None))
+            push((v.right, node.right, ind))
+            push((v.left, node.left, ind))
+        elif cls is S.FConst:
+            push((v, node.type, ind))
+        elif isinstance(v, S.VUnit):
+            out.append(SStar())
+        else:
+            raise _uninhabited(v, node, ind)
+    return out[0]
 
 
 MODEL_NAMES = ("exact", "size", "height", "allcons", "merged", "lower")

@@ -762,7 +762,11 @@ def _std_decls() -> dict[str, DataDecl]:
 BOOL = TSum(TUnit(), TUnit())  # false = inj0 (), true = inj1 ()
 ORDER = TSum(TSum(TUnit(), TUnit()), TUnit())  # LT, EQ, GT
 
-NAT_TYPE = _std_decls()["nat"].instantiate(())
+# the standard declarations that printing names constructors by; the parser
+# takes a fresh copy of its own
+_STD_DECLS = _std_decls()
+
+NAT_TYPE = _STD_DECLS["nat"].instantiate(())
 
 
 def numeral(n: int) -> SrcExpr:
@@ -1693,29 +1697,40 @@ def _shape_skeleton(f: ShapeFunctor):
             return ("->", _shape_skeleton(b))
 
 
+def _cons_print_facts(ann: SrcType) -> tuple[SrcType, bool, Optional[DataDecl]]:
+    """What printing a constructor value needs from its annotation, kept on
+    the annotation: the resolved type, whether it is nat, and the standard
+    declaration that names its constructors (None: print ``cons[...]``).
+    """
+    def compute(ann: SrcType):
+        ann = resolve_holes(ann)
+        label = None
+        if isinstance(ann, TInd):
+            if ann.label:
+                label = ann.label.split("<")[0]
+            else:
+                skel = _shape_skeleton(ann.functor)
+                for name, decl in _STD_DECLS.items():
+                    if _shape_skeleton(decl.functor) == skel:
+                        label = name
+                        break
+        return ann, ann == NAT_TYPE, _STD_DECLS.get(label)
+
+    return type_memo(ann, "_print_facts", compute)
+
+
 def _pvalue_cons(ann: SrcType, arg: Value) -> str:
-    ann = resolve_holes(ann)
+    ann, is_nat, decl = _cons_print_facts(ann)
     # numerals render as #n
-    if ann == NAT_TYPE:
+    if is_nat:
         n, v = 0, VCons(ann, arg)
         while isinstance(v, VCons) and isinstance(v.arg, VInj):
             if v.arg.index == 0:
                 return f"#{n}"
             n += 1
             v = v.arg.arg
-    decls = _std_decls()
-    label = None
-    if isinstance(ann, TInd):
-        if ann.label:
-            label = ann.label.split("<")[0]
-        else:
-            skel = _shape_skeleton(ann.functor)
-            for name, decl in decls.items():
-                if _shape_skeleton(decl.functor) == skel:
-                    label = name
-                    break
-    if label in decls and isinstance(arg, VInj):
-        ctor = decls[label].ctors[arg.index]
+    if decl is not None and isinstance(arg, VInj):
+        ctor = decl.ctors[arg.index]
         if not ctor.arg_functors:
             return ctor.name
         parts = _untuple(arg.arg, len(ctor.arg_functors))

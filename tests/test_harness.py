@@ -58,6 +58,33 @@ def test_gen_value_computes_generation_facts_once_per_type(monkeypatch):
     assert len({id(ty) for ty in computed}) == len(computed)
 
 
+def test_printing_values_resolves_each_annotation_once(monkeypatch):
+    # fresh types, so no memo from an earlier test is reused
+    checked = check_program(parse_program(corpus_text("copy.src")))
+    prepared = prepare(checked, "copy", ("size",))
+    rng = random.Random(8)
+    values = [gen_value(prepared.arg_types[0], 12, rng) for _ in range(50)]
+    resolved = []
+    resolve_holes = source_ast.resolve_holes
+
+    def counting(ty):
+        resolved.append(ty)
+        return resolve_holes(ty)
+
+    def no_decls():
+        raise AssertionError("printing rebuilt the standard declarations")
+
+    monkeypatch.setattr(source_ast, "resolve_holes", counting)
+    monkeypatch.setattr(source_ast, "_std_decls", no_decls)
+    first = [pretty(v) for v in values]
+    assert any(s.startswith("node(") for s in first)
+    # once per annotation object (and its parts), not per constructor
+    calls = len(resolved)
+    assert calls < len(values)
+    assert [pretty(v) for v in values] == first
+    assert len(resolved) == calls
+
+
 def test_gen_value_nat_respects_budget():
     rng = random.Random(1)
     m = make_model("size")

@@ -10,11 +10,13 @@ import pytest
 
 from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted
 from costrec.extract import potential_type
-from costrec.harness import prepare
+from costrec.cost_eval import apply_function
+from costrec.harness import gen_value, prepare
 from costrec.models import (
-    AllConsModel, ExactModel, LowerSizeModel, MergedModel, SemEnv, _min_antichain,
-    SizeHeightModel, denote, denote_closed, galois_abs, galois_conc,
-    make_model, observable, support_datatypes, value_potential,
+    MODEL_NAMES, AllConsModel, ExactModel, LowerSizeModel, MergedModel,
+    ModelError, SemEnv, _min_antichain, SizeHeightModel, denote, denote_closed,
+    galois_abs, galois_conc, make_model, observable, support_datatypes,
+    value_potential,
 )
 from costrec.rec_lang import (
     RC, RCase, RecElab, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
@@ -24,11 +26,12 @@ from costrec.rec_lang import (
 )
 from costrec.semdom import (
     INF, ONE, ZERO, SFun, SIdeal, SMap, SNum, SPair, SStar, SizeMap,
-    UnsupportedFeature, antichain, ext, sem_leq,
+    UnsupportedFeature, XCons, antichain, ext, sem_leq,
 )
 from costrec.source_ast import (
-    NAT_TYPE, VCons, VInj, VPair, VUnit, numeral_value, parse_expr,
-    parse_type,
+    NAT_TYPE, TInd, TProd, TSum, TUnit, VCons, VInj, VPair, VUnit,
+    numeral_value, parse_expr, parse_type, pretty, pretty_type, resolve_holes,
+    subst_shape, type_memo,
 )
 
 NAT = potential_type(NAT_TYPE)
@@ -610,6 +613,199 @@ def test_observable_classification():
     assert not observable(parse_type("nat -> nat"))
     assert not observable(parse_type("susp nat"))
     assert not observable(parse_type("mu t. unit + (nat -> t)"))
+
+
+# ---------------------------------------------------------------------------
+# Embedding source values
+# ---------------------------------------------------------------------------
+
+EMBED_SEED = 6061
+
+
+def _replay(model, v, ty):
+    """The embedding by replaying the model's injection and constructor at
+    every node of the value, one Python frame per node: the reference the
+    direct walks of ``value_potential`` must match.
+    """
+    match (v, ty):
+        case (VUnit(), TUnit()):
+            return SStar()
+        case (VPair(l, r), TProd(tl, tr)):
+            return SPair(_replay(model, l, tl), _replay(model, r, tr))
+        case (VInj(i, a), TSum(tl, tr)):
+            sub = _replay(model, a, tl if i == 0 else tr)
+            return model.inj(i, sub, potential_type(ty))
+        case (VCons(_, a), TInd(f, _)):
+            unfolded = type_memo(ty, "_unfolded", lambda t: subst_shape(t.functor, t))
+            sub = _replay(model, a, unfolded)
+            return model.cons(potential_type(ty), sub)
+    raise ModelError(f"value {pretty(v)} does not inhabit {pretty_type(ty)}")
+
+
+def _embedding_samples():
+    """(where, type, value) for generated arguments and evaluated results of
+    every corpus function, polymorphic ones also at list<nat> and tree<nat>.
+    """
+    rng = random.Random(EMBED_SEED)
+    out = []
+    for name, fns in sorted(CORPUS_FUNCTIONS.items()):
+        for fn in fns:
+            for at in ("nat", "list<nat>", "tree<nat>"):
+                p = prepare(corpus_checked(name), fn, (), corpus_extracted(name),
+                            instantiate_at=parse_type(at))
+                for trial in range(25):
+                    args = [gen_value(t, 12, rng) for t in p.arg_types]
+                    res = apply_function(p.env, p.name, args)
+                    where = (name, fn, at, trial)
+                    out += [((*where, i), t, a) for i, (t, a)
+                            in enumerate(zip(p.arg_types, args))]
+                    out.append(((*where, "result"), p.result_type, res.value))
+    return out
+
+
+def test_value_potential_equals_the_constructor_replay():
+    print(f"embedding seed {EMBED_SEED}")
+    samples = _embedding_samples()
+    datatypes = set()
+    for model_name in MODEL_NAMES:
+        m = make_model(model_name)
+        for where, ty, v in samples:
+            got = value_potential(m, v, ty)
+            want = _replay(m, v, resolve_holes(ty))
+            assert got == want, (EMBED_SEED, model_name, where)
+            assert str(got) == str(want), (EMBED_SEED, model_name, where)
+            assert hash(got) == hash(want), (EMBED_SEED, model_name, where)
+            datatypes |= support_datatypes(potential_type(ty))
+    # rev instantiated at list<nat> and tree<nat> nests datatypes
+    assert datatypes >= {potential_type(parse_type(t)) for t in (
+        "nat", "list<nat>", "tree<nat>", "tree<bool>",
+        "list<list<nat>>", "list<tree<nat>>")}
+
+
+def _list_value(ty, items):
+    """A list of the given values, a number standing for its numeral."""
+    xs = VCons(ty, VInj(0, VUnit()))
+    for x in reversed(items):
+        xs = VCons(ty, VInj(1, VPair(numeral_value(x) if isinstance(x, int) else x, xs)))
+    return xs
+
+
+def _node(ty, left, label, right):
+    return VCons(ty, VInj(1, VPair(VPair(label, left), right)))
+
+
+def test_allcons_census_takes_the_max_across_elements():
+    list_tree = parse_type("list<tree<nat>>")
+    tree_nat = parse_type("tree<nat>")
+    emp = VCons(tree_nat, VInj(0, VUnit()))
+    small = _node(tree_nat, emp, numeral_value(6), emp)                   # 3 trees
+    big = _node(tree_nat, small, numeral_value(1), _node(tree_nat, emp,   # 7 trees
+                                                         numeral_value(2), emp))
+    forest = _list_value(list_tree, [small, big, small])
+    tree_list = parse_type("tree<list<nat>>")
+    list_nat = parse_type("list<nat>")
+    leaf = VCons(tree_list, VInj(0, VUnit()))
+    lists = _node(tree_list, _node(tree_list, leaf, _list_value(list_nat, [4, 0]), leaf),
+                  _list_value(list_nat, [1, 2, 3]), leaf)
+    cases = [
+        (forest, list_tree,
+         {"list<tree<nat>>": 4, "tree<nat>": 7, "nat": 7}),
+        (lists, tree_list,
+         {"tree<list<nat>>": 5, "list<nat>": 4, "nat": 5}),
+    ]
+    for model_name in ("allcons", "merged"):
+        m = make_model(model_name)
+        for v, ty, counts in cases:
+            got = value_potential(m, v, ty)
+            assert {pretty_rec_type(k): n.value
+                    for k, n in got.sizemap.entries} == counts
+            assert got == _replay(m, v, ty)
+
+
+def _long_list(n):
+    """A list<nat> of n - 1 zeros: n main constructors."""
+    ty = parse_type("list<nat>")
+    zero = numeral_value(0)
+    xs = VCons(ty, VInj(0, VUnit()))
+    for _ in range(n - 1):
+        xs = VCons(ty, VInj(1, VPair(zero, xs)))
+    return ty, xs
+
+
+def _left_spine_tree(nodes):
+    """A tree<nat> of the given number of nodes, each the left child of the
+    next: 2 * nodes + 1 main constructors, nested nodes + 1 deep.
+    """
+    ty = parse_type("tree<nat>")
+    emp = VCons(ty, VInj(0, VUnit()))
+    t = emp
+    for _ in range(nodes):
+        t = _node(ty, t, numeral_value(0), emp)
+    return ty, t
+
+
+@pytest.mark.parametrize("model_name", ["size", "height", "lower", "allcons", "merged"])
+def test_long_values_embed_without_deep_recursion(model_name):
+    assert sys.getrecursionlimit() < 10_000
+    m = make_model(model_name)
+    list_ty, xs = _long_list(10_000)
+    tree_ty, t = _left_spine_tree(5_000)
+    got_list = value_potential(m, xs, list_ty)
+    got_tree = value_potential(m, t, tree_ty)
+    if model_name in ("allcons", "merged"):
+        list_nat, tree_nat = potential_type(list_ty), potential_type(tree_ty)
+        assert got_list == SMap(SizeMap.of({list_nat: 10_000, NAT: 1}))
+        assert got_tree == SMap(SizeMap.of({tree_nat: 10_001, NAT: 1}))
+    else:
+        assert got_list == size(10_000)
+        assert got_tree == size(5_001 if model_name == "height" else 10_001)
+
+
+def test_exact_embedding_of_a_long_list_is_built_iteratively():
+    ty, xs = _long_list(10_000)
+    emb = value_potential(ExactModel(), xs, ty)
+    zero = value_potential(ExactModel(), numeral_value(0), NAT_TYPE)
+    count, x = 0, emb
+    while True:
+        assert isinstance(x, XCons) and x.delta == LIST_NAT
+        count += 1
+        if x.arg.index == 0:
+            assert x.arg.arg == SStar()
+            break
+        assert x.arg.arg.left == zero
+        x = x.arg.arg.right
+    assert count == 10_000
+
+
+ILL_TYPED = [
+    ("unit at a list", VUnit(), "list<nat>"),
+    ("pair at nat", VPair(VUnit(), VUnit()), "nat"),
+    ("unit in a tail", VCons(parse_type("list<nat>"),
+                             VInj(1, VPair(numeral_value(0), VUnit()))), "list<nat>"),
+    ("unit as a constructor's data", VCons(parse_type("list<nat>"), VUnit()), "list<nat>"),
+    ("injection for a pair", VCons(parse_type("list<nat>"),
+                                   VInj(1, VInj(0, VUnit()))), "list<nat>"),
+    ("pair at a sum", VPair(VUnit(), VUnit()), "bool"),
+    ("list at a pair", numeral_value(1), "nat * nat"),
+]
+
+
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+@pytest.mark.parametrize("what,value,ty", ILL_TYPED, ids=[c[0] for c in ILL_TYPED])
+def test_value_outside_its_type_is_a_model_error(model_name, what, value, ty):
+    with pytest.raises(ModelError, match="does not inhabit"):
+        value_potential(make_model(model_name), value, parse_type(ty))
+
+
+@pytest.mark.parametrize("model_name", ["allcons", "merged", "exact"])
+def test_value_outside_its_type_in_a_constant_is_a_model_error(model_name):
+    """The census and exact walks visit constants, so an ill-typed element
+    is found; the size and height walks never visit constants.
+    """
+    ty = parse_type("list<nat>")
+    bad = VCons(ty, VInj(1, VPair(VPair(VUnit(), VUnit()), VCons(ty, VInj(0, VUnit())))))
+    with pytest.raises(ModelError, match="does not inhabit"):
+        value_potential(make_model(model_name), bad, ty)
 
 
 # ---------------------------------------------------------------------------
