@@ -243,6 +243,22 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, so that an
+    out-of-range count is a usage error (exit 2) like any malformed one.
+    """
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="costrec",
@@ -282,9 +298,9 @@ def main(argv=None) -> int:
     p.add_argument("--fn", dest="fn_name2", help="binding to verify (default: last)")
     p.add_argument("--model", action="append", choices=MODEL_NAMES,
                    help="model(s) to check (default: all)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=12)
+    p.add_argument("--max-size", type=_at_least(0), default=12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

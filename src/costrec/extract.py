@@ -37,7 +37,7 @@ class ExtractError(Exception):
 
 def potential_type(ty: S.SrcType) -> RecType:
     """The potential translation: sizes of source values of this type."""
-    return S.type_memo(ty, "_potential", lambda t: _potential_type(S.resolve_holes(t)))
+    return S.type_memo(ty, "_potential", _potential_type)
 
 
 def _potential_type(ty: S.SrcType) -> RecType:
@@ -199,7 +199,7 @@ def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
             return RPair(ea.left, RInj(i, ann_pot, ea.right))
         case S.Case(scrut, x0, b0, x1, b1):
             es = _extract(scrut, elab, ren, binds)
-            scrut_ty = T.zonk(elab.types[id(scrut)])
+            scrut_ty = elab.types[id(scrut)]
             if not isinstance(scrut_ty, S.TSum):
                 raise ExtractError("case scrutinee is not a sum")
             case_e = RCase(
@@ -222,22 +222,22 @@ def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
             return _charge(ea.left, ea.right, binds)
         case S.Cons(ann, a):
             ea = _extract(a, elab, ren, binds)
-            delta = potential_type(T.zonk(elab.types[id(e)]))
+            delta = potential_type(elab.types[id(e)])
             assert isinstance(delta, RInd)
             return RPair(ea.left, RConsE(delta, ea.right))
         case S.Dest(ann, a):
             ea = _extract(a, elab, ren, binds)
-            delta = potential_type(T.zonk(elab.types[id(a)]))
+            delta = potential_type(elab.types[id(a)])
             assert isinstance(delta, RInd)
             return RPair(ea.left, RDestE(delta, ea.right))
         case S.Fold(ann, scrut, x, body, res):
             es = _extract(scrut, elab, ren, binds)
-            delta_src = T.zonk(elab.types[id(scrut)])
+            delta_src = elab.types[id(scrut)]
             if not isinstance(delta_src, S.TInd):
                 raise ExtractError("fold scrutinee is not an inductive type")
             delta = potential_type(delta_src)
             assert isinstance(delta, RInd)
-            res_cpx = complexity_type(T.zonk(elab.types[id(e)]))
+            res_cpx = complexity_type(elab.types[id(e)])
             binder_ann = subst_rec_shape(delta.functor, res_cpx)
             step = add_cost(ROne(), _scoped(body, elab, _shadow(ren, x)))
             return _charge(es.left, RFold(delta, es.right, x, binder_ann, step), binds)

@@ -27,7 +27,7 @@ from . import typecheck as T
 from .cost_eval import apply_function, program_env
 from .extract import ExtractedProgram, extract_program, potential_type
 from .models import (
-    Model, SemEnv, _resolved, denote, make_model, observable, value_potential,
+    Model, SemEnv, denote, make_model, observable, value_potential,
 )
 from .rec_lang import RecElab, RForall, check_rec
 from .semdom import (
@@ -197,7 +197,6 @@ def gen_value(ty: S.SrcType, size_budget: int, rng: random.Random,
     """
     if not observable(ty):
         raise HarnessError(f"cannot generate values at {S.pretty_type(ty)}")
-    ty = _resolved(ty)
     if style is None:
         roll = rng.random()
         style = ("minimal" if roll < 0.08 else

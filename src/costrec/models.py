@@ -987,17 +987,9 @@ def denote_closed(model: Model, e: RecExpr) -> SemValue:
 # ---------------------------------------------------------------------------
 
 
-def _resolved(ty: S.SrcType) -> S.SrcType:
-    """resolve_holes, remembered on the type.  Only safe after checking has
-    finished (hole solutions are stable by then), which is the only time the
-    models run.
-    """
-    return S.type_memo(ty, "_resolved", S.resolve_holes)
-
-
 def observable(ty: S.SrcType) -> bool:
     """First-order types at which bounding can be checked mechanically."""
-    return S.type_memo(ty, "_observable", lambda t: _observable(_resolved(t)))
+    return S.type_memo(ty, "_observable", _observable)
 
 
 def _observable(ty: S.SrcType) -> bool:
@@ -1017,7 +1009,7 @@ def _observable_shape(f: S.ShapeFunctor) -> bool:
         case S.FRec():
             return True
         case S.FConst(t):
-            return _observable(S.resolve_holes(t))
+            return _observable(t)
         case S.FProd(l, r) | S.FSum(l, r):
             return _observable_shape(l) and _observable_shape(r)
         case S.FArrow(_, _):
@@ -1031,7 +1023,6 @@ def value_potential(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:
     and the model's injection, and a value of inductive type is measured by
     the model's ``embed_inductive`` in one iterative walk.
     """
-    ty = _resolved(ty)
     if not observable(ty):
         raise ModelError(f"type {S.pretty_type(ty)} is not observable")
     return _embed(model, v, ty)

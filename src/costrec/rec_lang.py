@@ -469,11 +469,12 @@ def subst_rec_type_in_expr(e: RecExpr, mapping: dict[str, RecType]) -> RecExpr:
 @dataclass
 class RecElab:
     """Per-node types from a checking run (used by the denotation function
-    to find branch result types and instantiate annotations).
+    to find branch result types and instantiate annotations), keyed by node
+    identity.  The table is valid while the checked term is alive; the
+    caller keeps it.
     """
 
     types: dict[int, RecType] = field(default_factory=dict)
-    _roots: list = field(default_factory=list)
 
     def type_of(self, e: RecExpr) -> RecType:
         return self.types[id(e)]
@@ -485,7 +486,6 @@ def check_rec(ctx: dict[str, RecType], e: RecExpr,
     RecTypeError on failure.
     """
     elab = elab if elab is not None else RecElab()
-    elab._roots.append(e)
     return _check(dict(ctx), e, elab)
 
 

@@ -51,8 +51,9 @@ def type_memo(ty, slot: str, compute):
     ``functools.cached_property`` does), so the memo dies with the type (or
     other immutable node: a shape functor, a recurrence term).  Frozen
     dataclasses allow this: the slot is not a field, so it takes no part in
-    equality, hashing or printing.  Only sound once the type's unification
-    holes are solved for good, that is, after checking.
+    equality, hashing or printing.  Only sound for a type whose unification
+    holes cannot change any more: every type after checking, which holds no
+    hole, and the types of unchecked expressions, whose holes nothing solves.
     """
     memo = ty.__dict__
     if slot not in memo:
@@ -231,90 +232,6 @@ def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFun
         case FArrow(d, b):
             return FArrow(subst_tyvars(d, mapping), subst_shape_tyvars(b, mapping))
     raise TypeError(f"not a shape functor: {f!r}")
-
-
-def resolve_holes(ty):
-    """A type with solved unification holes replaced by their solutions
-    (duck-typed; unsolved holes are returned as-is).  A part with nothing to
-    replace is returned itself, not rebuilt.
-    """
-    cell = getattr(ty, "cell", None)
-    while cell is not None and cell.solution is not None:
-        ty = cell.solution
-        cell = getattr(ty, "cell", None)
-    if cell is not None:
-        return ty
-    match ty:
-        case TVar() | TUnit():
-            return ty
-        case TProd(l, r) | TSum(l, r) | TArrow(l, r):
-            return _rebuilt(ty, (l, r), (resolve_holes(l), resolve_holes(r)))
-        case TSusp(b):
-            return _rebuilt(ty, (b,), (resolve_holes(b),))
-        case TInd(f, label):
-            return _rebuilt(ty, (f, label), (_resolve_shape_holes(f), label))
-    return ty
-
-
-def _resolve_shape_holes(f):
-    match f:
-        case FRec():
-            return f
-        case FConst(t):
-            return _rebuilt(f, (t,), (resolve_holes(t),))
-        case FProd(l, r) | FSum(l, r):
-            return _rebuilt(f, (l, r), (_resolve_shape_holes(l), _resolve_shape_holes(r)))
-        case FArrow(d, b):
-            return _rebuilt(f, (d, b), (resolve_holes(d), _resolve_shape_holes(b)))
-    return f
-
-
-def _rebuilt(node, parts: tuple, resolved: tuple):
-    """``node`` if resolving changed none of its parts, else a copy of it
-    made from the resolved parts.
-    """
-    if all(a is b for a, b in zip(parts, resolved)):
-        return node
-    return type(node)(*resolved)
-
-
-def types_equal(a, b) -> bool:
-    """Structural type equality modulo solved unification holes."""
-    return resolve_holes(a) == resolve_holes(b)
-
-
-def _has_hole(ty) -> bool:
-    """True if an unsolved unification hole occurs anywhere in the type
-    (duck-typed on the metavariable's cell to avoid a circular import).
-    """
-    cell = getattr(ty, "cell", None)
-    if cell is not None:
-        return cell.solution is None or _has_hole(cell.solution)
-    match ty:
-        case TVar() | TUnit():
-            return False
-        case TProd(l, r) | TSum(l, r):
-            return _has_hole(l) or _has_hole(r)
-        case TArrow(d, c):
-            return _has_hole(d) or _has_hole(c)
-        case TSusp(b):
-            return _has_hole(b)
-        case TInd(f, _):
-            return _shape_has_hole(f)
-    return False
-
-
-def _shape_has_hole(f) -> bool:
-    match f:
-        case FRec():
-            return False
-        case FConst(t):
-            return _has_hole(t)
-        case FProd(l, r) | FSum(l, r):
-            return _shape_has_hole(l) or _shape_has_hole(r)
-        case FArrow(d, b):
-            return _has_hole(d) or _shape_has_hole(b)
-    return False
 
 
 def free_tyvars(ty: SrcType) -> set[str]:
@@ -589,7 +506,7 @@ def value_eq(a: Value, b: Value) -> bool:
         case (VInj(i, v), VInj(j, w)):
             return i == j and value_eq(v, w)
         case (VCons(t1, v), VCons(t2, w)):
-            return types_equal(t1, t2) and value_eq(v, w)
+            return t1 == t2 and value_eq(v, w)
         case (VLamClo(l1, e1), VLamClo(l2, e2)):
             return alpha_eq(l1, l2) and _env_eq(e1, e2, free_vars(l1))
         case (VDelayClo(x1, e1), VDelayClo(x2, e2)):
@@ -669,10 +586,7 @@ def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
 
     match (a, b):
         case (Var(x, i1), Var(y, i2)):
-            if look(x) != y:
-                return False
-            i1, i2 = i1 or (), i2 or ()
-            return len(i1) == len(i2) and all(types_equal(s, t) for s, t in zip(i1, i2))
+            return look(x) == y and (i1 or ()) == (i2 or ())
         case (Unit(), Unit()):
             return True
         case (Pair(l1, r1), Pair(l2, r2)):
@@ -680,7 +594,7 @@ def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
         case (Proj(i, x), Proj(j, y)):
             return i == j and alpha_eq(x, y, env)
         case (Inj(i, t1, x), Inj(j, t2, y)):
-            return i == j and types_equal(t1, t2) and alpha_eq(x, y, env)
+            return i == j and t1 == t2 and alpha_eq(x, y, env)
         case (Case(s1, x0, b0, x1, b1), Case(s2, y0, c0, y1, c1)):
             return (
                 alpha_eq(s1, s2, env)
@@ -688,15 +602,15 @@ def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
                 and under(x1, y1, (b1, c1))
             )
         case (Lam(x, t1, b1), Lam(y, t2, b2)):
-            return types_equal(t1, t2) and under(x, y, (b1, b2))
+            return t1 == t2 and under(x, y, (b1, b2))
         case (App(f1, a1), App(f2, a2)):
             return alpha_eq(f1, f2, env) and alpha_eq(a1, a2, env)
         case (Delay(x), Delay(y)) | (Force(x), Force(y)):
             return alpha_eq(x, y, env)
         case (Cons(t1, x), Cons(t2, y)) | (Dest(t1, x), Dest(t2, y)):
-            return types_equal(t1, t2) and alpha_eq(x, y, env)
+            return t1 == t2 and alpha_eq(x, y, env)
         case (Fold(t1, s1, x, b1, r1), Fold(t2, s2, y, b2, r2)):
-            return (types_equal(t1, t2) and types_equal(r1, r2)
+            return (t1 == t2 and r1 == r2
                     and alpha_eq(s1, s2, env) and under(x, y, (b1, b2)))
         case (Let(x, e1, b1), Let(y, e2, b2)):
             return alpha_eq(e1, e2, env) and under(x, y, (b1, b2))
@@ -728,11 +642,9 @@ class DataDecl:
                 f"datatype {self.name} expects {len(self.params)} argument(s), got {len(args)}"
             )
         mapping = dict(zip(self.params, args))
-        label = None
-        if not any(_has_hole(t) for t in args):
-            label = self.name
-            if args:
-                label += "<" + ", ".join(pretty_type(t) for t in args) + ">"
+        label = self.name
+        if args:
+            label += "<" + ", ".join(pretty_type(t) for t in args) + ">"
         return TInd(subst_shape_tyvars(self.functor, mapping), label)
 
 
@@ -1324,8 +1236,11 @@ class _Parser:
                 )
         if ty_args is None:
             # Leave holes; the typechecker fills them in by unification.
-            ty_args = tuple(typecheck.fresh_meta() for _ in decl.params)
-        delta = decl.instantiate(ty_args)
+            # The arguments are unknown until then, so the type has no label.
+            holes = tuple(typecheck.fresh_meta() for _ in decl.params)
+            delta = TInd(decl.instantiate(holes).functor)
+        else:
+            delta = decl.instantiate(ty_args)
         unfolded = subst_shape(delta.functor, delta)
         if not args:
             payload: SrcExpr = Unit(pos=pos)
@@ -1527,10 +1442,10 @@ def _as_numeral(e: SrcExpr) -> Optional[int]:
     n = 0
     while True:
         match e:
-            case Cons(ann, Inj(1, _, inner)) if types_equal(ann, NAT_TYPE):
+            case Cons(ann, Inj(1, _, inner)) if ann == NAT_TYPE:
                 n += 1
                 e = inner
-            case Cons(ann, Inj(0, _, Unit())) if types_equal(ann, NAT_TYPE):
+            case Cons(ann, Inj(0, _, Unit())) if ann == NAT_TYPE:
                 return n
             case _:
                 return None
@@ -1697,13 +1612,12 @@ def _shape_skeleton(f: ShapeFunctor):
             return ("->", _shape_skeleton(b))
 
 
-def _cons_print_facts(ann: SrcType) -> tuple[SrcType, bool, Optional[DataDecl]]:
+def _cons_print_facts(ann: SrcType) -> tuple[bool, Optional[DataDecl]]:
     """What printing a constructor value needs from its annotation, kept on
-    the annotation: the resolved type, whether it is nat, and the standard
-    declaration that names its constructors (None: print ``cons[...]``).
+    the annotation: whether it is nat, and the standard declaration that
+    names its constructors (None: print ``cons[...]``).
     """
     def compute(ann: SrcType):
-        ann = resolve_holes(ann)
         label = None
         if isinstance(ann, TInd):
             if ann.label:
@@ -1714,13 +1628,13 @@ def _cons_print_facts(ann: SrcType) -> tuple[SrcType, bool, Optional[DataDecl]]:
                     if _shape_skeleton(decl.functor) == skel:
                         label = name
                         break
-        return ann, ann == NAT_TYPE, _STD_DECLS.get(label)
+        return ann == NAT_TYPE, _STD_DECLS.get(label)
 
     return type_memo(ann, "_print_facts", compute)
 
 
 def _pvalue_cons(ann: SrcType, arg: Value) -> str:
-    ann, is_nat, decl = _cons_print_facts(ann)
+    is_nat, decl = _cons_print_facts(ann)
     # numerals render as #n
     if is_nat:
         n, v = 0, VCons(ann, arg)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .source_ast import (
-    App, Case, Cons, Delay, Dest, Fold, Force, Inj, Lam, Let, MapE, MapV,
-    Pair, Program, Proj, SourceError, SrcExpr, SrcType, TArrow, TInd, TProd,
-    TSum, TSusp, TUnit, TVar, TypeScheme, Unit, Value, ValueEnv, Var, VCons,
-    VDelayClo, VInj, VLamClo, VPair, VUnit, VVar, free_tyvars, free_vars,
+    App, Case, Cons, Delay, Dest, FArrow, FConst, Fold, Force, FProd, FRec,
+    FSum, Inj, Lam, Let, MapE, MapV, Pair, Program, Proj, ShapeFunctor,
+    SourceError, SrcExpr, SrcType, TArrow, TInd, TProd, TSum, TSusp, TUnit,
+    TVar, TypeScheme, Unit, Value, ValueEnv, Var, VCons, VDelayClo, VInj,
+    VLamClo, VPair, VUnit, VVar, free_tyvars, free_vars, iter_subexprs,
     pretty, pretty_type, subst_shape, subst_tyvars,
 )
 
@@ -62,37 +63,39 @@ def _shorten(ty: SrcType) -> SrcType:
 
 
 def zonk(ty: SrcType) -> SrcType:
-    """Replace solved metavariables by their solutions, everywhere."""
+    """Replace solved metavariables by their solutions, everywhere.  A part
+    that holds no solved metavariable is returned itself, not rebuilt.
+    """
     ty = _shorten(ty)
-    if isinstance(ty, TMeta):
-        return ty
     match ty:
-        case TVar() | TUnit():
-            return ty
-        case TProd(l, r):
-            return TProd(zonk(l), zonk(r))
-        case TSum(l, r):
-            return TSum(zonk(l), zonk(r))
-        case TArrow(d, c):
-            return TArrow(zonk(d), zonk(c))
+        case TProd(l, r) | TSum(l, r) | TArrow(l, r):
+            zl, zr = zonk(l), zonk(r)
+            return ty if zl is l and zr is r else type(ty)(zl, zr)
         case TSusp(b):
-            return TSusp(zonk(b))
+            zb = zonk(b)
+            return ty if zb is b else TSusp(zb)
         case TInd(f, label):
-            from .source_ast import FArrow, FConst, FProd, FRec, FSum
-            def zf(g):
-                match g:
-                    case FRec():
-                        return g
-                    case FConst(t):
-                        return FConst(zonk(t))
-                    case FProd(a, b):
-                        return FProd(zf(a), zf(b))
-                    case FSum(a, b):
-                        return FSum(zf(a), zf(b))
-                    case FArrow(d2, b):
-                        return FArrow(zonk(d2), zf(b))
-            return TInd(zf(f), label)
+            zf = _zonk_shape(f)
+            return ty if zf is f else TInd(zf, label)
+        case TMeta() | TVar() | TUnit():
+            return ty
     raise TypeError(f"not a type: {ty!r}")
+
+
+def _zonk_shape(f: ShapeFunctor) -> ShapeFunctor:
+    match f:
+        case FConst(t):
+            zt = zonk(t)
+            return f if zt is t else FConst(zt)
+        case FProd(l, r) | FSum(l, r):
+            zl, zr = _zonk_shape(l), _zonk_shape(r)
+            return f if zl is l and zr is r else type(f)(zl, zr)
+        case FArrow(d, b):
+            zd, zb = zonk(d), _zonk_shape(b)
+            return f if zd is d and zb is b else FArrow(zd, zb)
+        case FRec():
+            return f
+    raise TypeError(f"not a shape functor: {f!r}")
 
 
 def _contains_meta(ty: SrcType) -> bool:
@@ -170,8 +173,6 @@ def unify(a: SrcType, b: SrcType, pos=None) -> None:
 
 
 def _unify_functor(f1, f2, pos) -> None:
-    from .source_ast import FArrow, FConst, FProd, FRec, FSum
-
     match (f1, f2):
         case (FRec(), FRec()):
             return
@@ -212,41 +213,57 @@ class TypeContext:
 
 @dataclass
 class Elab:
-    """Typing-derivation data keyed by AST node identity."""
+    """Typing-derivation data keyed by AST node identity.  The tables are
+    valid while the checked expression they were recorded for is alive; the
+    caller keeps it.  After checking, no type in them holds a hole.
+    """
 
     types: dict[int, SrcType] = field(default_factory=dict)
     instantiations: dict[int, tuple[SrcType, ...]] = field(default_factory=dict)
     schemes: dict[int, TypeScheme] = field(default_factory=dict)  # var -> used scheme
     let_generalized: dict[int, tuple[str, ...]] = field(default_factory=dict)
     contexts: dict[int, dict[str, TypeScheme]] = field(default_factory=dict)
-    _roots: list = field(default_factory=list)  # keep nodes alive so ids stay valid
+    # (node, type) inferred since the last _finalize, not yet in ``types``
+    _fresh: list = field(default_factory=list)
 
     def type_of(self, e: SrcExpr) -> SrcType:
         return self.types[id(e)]
 
-    def _zonk_all(self, pos=None) -> None:
-        for key, ty in list(self.types.items()):
+    def _finalize(self, pos=None) -> None:
+        """Zonk each entry recorded since the last call, once; reject the
+        unsolved holes; and write each constructor annotation whose holes
+        were solved back onto its node, so no hole outlives checking.
+        """
+        fresh, self._fresh = self._fresh, []
+        for e, ty in fresh:
             z = zonk(ty)
             if _contains_meta(z):
                 raise SrcTypeError(
                     "ambiguous type instantiation (annotate with x[ty] or a constructor type argument)",
                     *(pos or (0, 0)),
                 )
-            self.types[key] = z
-        for key, tys in list(self.instantiations.items()):
-            zs = tuple(zonk(t) for t in tys)
-            for z in zs:
-                if _contains_meta(z):
+            self.types[id(e)] = z
+            # a Cons or Inj node's type is its annotation
+            if isinstance(e, (Cons, Inj)) and e.annotation is not z:
+                object.__setattr__(e, "annotation", z)
+        for e, _ in fresh:
+            key = id(e)
+            if key in self.instantiations:
+                zs = tuple(zonk(t) for t in self.instantiations[key])
+                if any(_contains_meta(z) for z in zs):
                     raise SrcTypeError(
                         "ambiguous type instantiation (annotate with x[ty])", *(pos or (0, 0))
                     )
-            self.instantiations[key] = zs
-        for key, scheme in list(self.schemes.items()):
-            self.schemes[key] = TypeScheme(scheme.bound, zonk(scheme.body))
-        for key, ctx in list(self.contexts.items()):
-            self.contexts[key] = {
-                n: TypeScheme(s.bound, zonk(s.body)) for n, s in ctx.items()
-            }
+                self.instantiations[key] = zs
+            if key in self.schemes:
+                self.schemes[key] = _zonk_scheme(self.schemes[key])
+            if key in self.contexts:
+                self.contexts[key] = {n: _zonk_scheme(s) for n, s in self.contexts[key].items()}
+
+
+def _zonk_scheme(scheme: TypeScheme) -> TypeScheme:
+    body = zonk(scheme.body)
+    return scheme if body is scheme.body else TypeScheme(scheme.bound, body)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +273,13 @@ class Elab:
 
 def infer_expr(ctx: TypeContext, e: SrcExpr, elab: Optional[Elab] = None) -> SrcType:
     """Derive the type of ``e`` under ``ctx``; on success the unique derivable
-    type is recorded in ``elab`` (when given) for every subexpression.
+    type, with no hole left, is recorded in ``elab`` (when given) for every
+    subexpression.
     """
-    own = elab is None
-    elab = elab or Elab()
-    ty = _infer(ctx, e, elab)
-    if own:
-        elab._roots.append(e)
-        elab._zonk_all(getattr(e, "pos", None))
-        return zonk(ty)
-    return ty
+    elab = elab if elab is not None else Elab()
+    _infer(ctx, e, elab)
+    elab._finalize(getattr(e, "pos", None))
+    return elab.type_of(e)
 
 
 def _pos(e: SrcExpr):
@@ -274,7 +288,7 @@ def _pos(e: SrcExpr):
 
 def _infer(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
     ty = _infer_node(ctx, e, elab)
-    elab.types[id(e)] = ty
+    elab._fresh.append((e, ty))
     return ty
 
 
@@ -393,8 +407,6 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
 
 def is_core(e: SrcExpr) -> bool:
     """True iff no map/mapv node occurs (Defn of the core language)."""
-    from .source_ast import iter_subexprs
-
     return not any(isinstance(sub, (MapE, MapV)) for sub in iter_subexprs(e))
 
 
@@ -421,13 +433,9 @@ def check_program(program: Program) -> CheckedProgram:
     for name, expr in program.bindings:
         if not is_core(expr):
             raise SrcTypeError(f"binding {name} is not in the core language")
-        ty = zonk(_infer(ctx, expr, elab))
-        elab._roots.append(expr)
-        elab._zonk_all(getattr(expr, "pos", None))
-        if _contains_meta(ty):
-            raise SrcTypeError(
-                f"ambiguous type for {name}; add type annotations", *_pos(expr)
-            )
+        _infer(ctx, expr, elab)
+        elab._finalize(getattr(expr, "pos", None))
+        ty = elab.type_of(expr)  # _finalize has rejected any hole left in it
         gen = tuple(sorted(free_tyvars(ty) - ctx.free_tyvars()))
         scheme = TypeScheme(gen, ty)
         schemes[name] = scheme
@@ -436,10 +444,10 @@ def check_program(program: Program) -> CheckedProgram:
     if program.main is not None:
         if not is_core(program.main):
             raise SrcTypeError("main is not in the core language")
-        main_type = zonk(_infer(ctx, program.main, elab))
-        elab._roots.append(program.main)
-        elab._zonk_all(getattr(program.main, "pos", None))
-        if _contains_meta(main_type) or free_tyvars(main_type):
+        _infer(ctx, program.main, elab)
+        elab._finalize(getattr(program.main, "pos", None))
+        main_type = elab.type_of(program.main)
+        if free_tyvars(main_type):
             raise SrcTypeError("main must have a closed monomorphic type")
     return CheckedProgram(program, elab, schemes, main_type)
 
@@ -462,7 +470,6 @@ def check_value(checked: Optional[CheckedProgram], v: Value, ty: SrcType,
 
 
 def _check_value(checked, v: Value, ty: SrcType, ctx: dict[str, TypeScheme]) -> None:
-    ty = zonk(ty)
     match (v, ty):
         case (VVar(n), _):
             if n not in ctx:
@@ -470,7 +477,7 @@ def _check_value(checked, v: Value, ty: SrcType, ctx: dict[str, TypeScheme]) -> 
             scheme = ctx[n]
             if scheme.bound:
                 raise SrcTypeError(f"value variable {n} used at a scheme type")
-            if zonk(scheme.body) != ty:
+            if scheme.body != ty:
                 raise SrcTypeError(
                     f"variable {n}: expected {pretty_type(ty)}, has {pretty_type(scheme.body)}"
                 )
@@ -487,11 +494,10 @@ def _check_value(checked, v: Value, ty: SrcType, ctx: dict[str, TypeScheme]) -> 
         case (VCons(ann, a), TInd(functor, _)):
             # values built inside polymorphic code carry open annotations,
             # which must match the checked (closed) instance up to grounding
-            ann_z = zonk(ann)
-            if ann_z != ty:
-                if not (free_tyvars(ann_z) and _grounds_to(ann_z, ty)):
+            if ann != ty:
+                if not (free_tyvars(ann) and _grounds_to(ann, ty)):
                     raise SrcTypeError(
-                        f"constructor annotation {pretty_type(ann_z)} does not match {pretty_type(ty)}"
+                        f"constructor annotation {pretty_type(ann)} does not match {pretty_type(ty)}"
                     )
             _check_value(checked, a, subst_shape(functor, ty), ctx)
             return
@@ -534,7 +540,6 @@ def _match_ground(static: Optional[SrcType], actual: SrcType) -> dict[str, SrcTy
         return out
 
     def go(s: SrcType, a: SrcType) -> None:
-        s = zonk(s)
         match s:
             case TVar(name):
                 prev = out.setdefault(name, a)
@@ -566,8 +571,6 @@ def _match_ground(static: Optional[SrcType], actual: SrcType) -> dict[str, SrcTy
 
 
 def _match_functor(s: TInd, a: TInd, out: dict[str, SrcType]) -> None:
-    from .source_ast import FArrow, FConst, FProd, FRec, FSum
-
     def gof(fs, fa):
         match (fs, fa):
             case (FRec(), FRec()):
@@ -582,7 +585,6 @@ def _match_functor(s: TInd, a: TInd, out: dict[str, SrcType]) -> None:
         raise SrcTypeError("closure type mismatch at an inductive type")
 
     def got(ts, ta):
-        ts = zonk(ts)
         if isinstance(ts, TVar):
             prev = out.setdefault(ts.name, ta)
             if prev != ta:
@@ -626,7 +628,7 @@ def _check_closure_env(checked, e: SrcExpr, env: ValueEnv,
         if not demanded and static_ctx and name in static_ctx:
             scheme = static_ctx[name]
             if not scheme.bound:
-                demanded = [subst_tyvars(zonk(scheme.body), grounding)]
+                demanded = [subst_tyvars(scheme.body, grounding)]
         for inst_ty in demanded:
             if free_tyvars(inst_ty):
                 continue  # non-ground instance: outside the checkable fragment
@@ -635,13 +637,11 @@ def _check_closure_env(checked, e: SrcExpr, env: ValueEnv,
 
 def _demanded_instances(elab: Elab, e: SrcExpr, name: str,
                         grounding: dict[str, SrcType]) -> list[SrcType]:
-    from .source_ast import iter_subexprs
-
     out = []
     for sub in iter_subexprs(e):
         if isinstance(sub, Var) and sub.name == name and id(sub) in elab.schemes:
             scheme = elab.schemes[id(sub)]
             args = elab.instantiations.get(id(sub), ())
-            mapping = dict(zip(scheme.bound, (subst_tyvars(zonk(t), grounding) for t in args)))
-            out.append(subst_tyvars(subst_tyvars(zonk(scheme.body), mapping), grounding))
+            mapping = dict(zip(scheme.bound, (subst_tyvars(t, grounding) for t in args)))
+            out.append(subst_tyvars(subst_tyvars(scheme.body, mapping), grounding))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from costrec.extract import extract_program
 from costrec.source_ast import parse_program
-from costrec.typecheck import check_program
+from costrec.typecheck import TMeta, check_program
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "costrec" / "corpus"
 
@@ -38,6 +39,24 @@ def corpus_checked(name: str):
 @functools.lru_cache(maxsize=None)
 def corpus_extracted(name: str):
     return extract_program(corpus_checked(name))
+
+
+def holes(*roots):
+    """The unification holes (solved or not) reachable from the roots:
+    types, expressions, values, schemes, tuples and dicts of them.
+    """
+    found, stack = [], list(roots)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TMeta):
+            found.append(node)
+        elif isinstance(node, (tuple, list)):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+        elif dataclasses.is_dataclass(node):
+            stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+    return found
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,6 @@ def extract_of(text):
     e = parse_expr(text)
     elab = Elab()
     infer_expr(TypeContext({}), e, elab)
-    elab._roots.append(e)
-    elab._zonk_all()
     return extract_expr(e, elab)
 
 

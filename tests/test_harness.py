@@ -34,6 +34,33 @@ def test_gen_value_unit():
     assert value_eq(gen_value(parse_type("unit"), 5, rng), VUnit())
 
 
+def _parts(*types):
+    """Every type and shape functor object inside the given types."""
+    seen, stack = {}, list(types)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, f) for f in node.__dataclass_fields__
+                         if f != "label")
+    return seen
+
+
+def _annotations(v):
+    """The annotation object of every constructor in a value."""
+    out, stack = [], [v]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, source_ast.VCons):
+            out.append(v.annotation)
+            stack.append(v.arg)
+        elif isinstance(v, source_ast.VInj):
+            stack.append(v.arg)
+        elif isinstance(v, source_ast.VPair):
+            stack += [v.left, v.right]
+    return out
+
+
 def test_gen_value_computes_generation_facts_once_per_type(monkeypatch):
     # fresh types, so no memo from an earlier test is reused
     checked = check_program(parse_program(corpus_text("mem.src")))
@@ -45,17 +72,17 @@ def test_gen_value_computes_generation_facts_once_per_type(monkeypatch):
         computed.append(ty)
         return least_ctors(ty)
 
-    def no_resolve(ty):
-        raise AssertionError("generation resolved a checked type again")
-
     monkeypatch.setattr(harness, "_least_ctors", counting)
-    monkeypatch.setattr(source_ast, "resolve_holes", no_resolve)
     rng = random.Random(5)
-    for _ in range(50):
-        for ty in prepared.arg_types:
-            gen_value(ty, 12, rng)
+    values = [gen_value(ty, 12, rng) for _ in range(50) for ty in prepared.arg_types]
     assert computed
     assert len({id(ty) for ty in computed}) == len(computed)
+    # generation takes the checked types as they are and never rebuilds
+    # them: every constructor is annotated with a part of an argument type
+    parts = _parts(*prepared.arg_types)
+    annotations = [a for v in values for a in _annotations(v)]
+    assert annotations
+    assert all(id(a) in parts for a in annotations)
 
 
 def test_printing_values_resolves_each_annotation_once(monkeypatch):
@@ -64,25 +91,28 @@ def test_printing_values_resolves_each_annotation_once(monkeypatch):
     prepared = prepare(checked, "copy", ("size",))
     rng = random.Random(8)
     values = [gen_value(prepared.arg_types[0], 12, rng) for _ in range(50)]
-    resolved = []
-    resolve_holes = source_ast.resolve_holes
+    computed = []
+    type_memo = source_ast.type_memo
 
-    def counting(ty):
-        resolved.append(ty)
-        return resolve_holes(ty)
+    def counting(ty, slot, compute):
+        if slot == "_print_facts" and slot not in ty.__dict__:
+            computed.append(ty)
+        return type_memo(ty, slot, compute)
 
     def no_decls():
         raise AssertionError("printing rebuilt the standard declarations")
 
-    monkeypatch.setattr(source_ast, "resolve_holes", counting)
+    monkeypatch.setattr(source_ast, "type_memo", counting)
     monkeypatch.setattr(source_ast, "_std_decls", no_decls)
     first = [pretty(v) for v in values]
     assert any(s.startswith("node(") for s in first)
-    # once per annotation object (and its parts), not per constructor
-    calls = len(resolved)
-    assert calls < len(values)
+    # the printing facts are computed once per annotation object, not per
+    # constructor
+    calls = len(computed)
+    assert 0 < calls < len(values)
+    assert len({id(ty) for ty in computed}) == calls
     assert [pretty(v) for v in values] == first
-    assert len(resolved) == calls
+    assert len(computed) == calls
 
 
 def test_gen_value_nat_respects_budget():
@@ -276,6 +306,26 @@ def test_cli_usage_error_exit_two(capsys):
         cli_main(["analyze", str(CORPUS_DIR / "copy.src"), "--model", "bogus",
                   "--fn", "copy"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--trials", "0", "argument --trials: must be at least 1, got 0"),
+    ("--trials", "-3", "argument --trials: must be at least 1, got -3"),
+    ("--trials", "many", "argument --trials: expected an integer, got 'many'"),
+    ("--max-size", "-1", "argument --max-size: must be at least 0, got -1"),
+])
+def test_cli_verify_out_of_range_counts_are_usage_errors(capsys, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", str(CORPUS_DIR / "copy.src"), option, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.rstrip().endswith(f"costrec verify: error: {message}")
+
+
+def test_trial_config_still_rejects_no_trials():
+    with pytest.raises(HarnessError):
+        TrialConfig(trials=0)
 
 
 def test_cli_type_error_exit_one(tmp_path, capsys):

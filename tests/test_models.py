@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted
+from conftest import (
+    CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted, holes,
+)
 from costrec.extract import potential_type
-from costrec.cost_eval import apply_function
+from costrec.cost_eval import apply_function, eval_expr
 from costrec.harness import gen_value, prepare
 from costrec.models import (
     MODEL_NAMES, AllConsModel, ExactModel, LowerSizeModel, MergedModel,
@@ -29,10 +31,11 @@ from costrec.semdom import (
     UnsupportedFeature, XCons, antichain, ext, sem_leq,
 )
 from costrec.source_ast import (
-    NAT_TYPE, TInd, TProd, TSum, TUnit, VCons, VInj, VPair, VUnit,
-    numeral_value, parse_expr, parse_type, pretty, pretty_type, resolve_holes,
-    subst_shape, type_memo,
+    EMPTY_ENV, NAT_TYPE, TInd, TProd, TSum, TUnit, VCons, VInj, VPair, VUnit,
+    numeral_value, parse_expr, parse_type, pretty, pretty_type, subst_shape,
+    type_memo,
 )
+from costrec.typecheck import TypeContext, infer_expr
 
 NAT = potential_type(NAT_TYPE)
 LIST_NAT = potential_type(parse_type("list<nat>"))
@@ -308,8 +311,6 @@ def test_exact_extraction_of_numeral_is_structural():
     e = parse_expr("#2")
     elab = Elab()
     infer_expr(TypeContext({}), e, elab)
-    elab._roots.append(e)
-    elab._zonk_all()
     cpx = denote_closed(ExactModel(), extract_expr(e, elab))
     assert cpx.left == cost(0)
     assert cpx.right == value_potential(ExactModel(), numeral_value(2), NAT_TYPE)
@@ -671,7 +672,7 @@ def test_value_potential_equals_the_constructor_replay():
         m = make_model(model_name)
         for where, ty, v in samples:
             got = value_potential(m, v, ty)
-            want = _replay(m, v, resolve_holes(ty))
+            want = _replay(m, v, ty)
             assert got == want, (EMBED_SEED, model_name, where)
             assert str(got) == str(want), (EMBED_SEED, model_name, where)
             assert hash(got) == hash(want), (EMBED_SEED, model_name, where)
@@ -680,6 +681,31 @@ def test_value_potential_equals_the_constructor_replay():
     assert datatypes >= {potential_type(parse_type(t)) for t in (
         "nat", "list<nat>", "tree<nat>", "tree<bool>",
         "list<list<nat>>", "list<tree<nat>>")}
+
+
+@pytest.mark.parametrize("text,ty", [
+    ("node(#1, node(#0, emp[nat], emp[nat]), emp[nat])", "tree<nat>"),
+    ("cons(node(#2, emp[nat], emp[nat]), cons(emp[nat], nil[tree<nat>]))",
+     "list<tree<nat>>"),
+    ("cons(cons(#1, nil), nil)", "list<list<nat>>"),
+])
+def test_values_of_unchecked_expressions_print_and_embed(text, ty):
+    # constructor sugar without [T] leaves holes that only checking solves,
+    # so a value built from an unchecked expression keeps them unsolved;
+    # printing and embedding read the given type and the constructor index
+    unchecked = eval_expr(EMPTY_ENV, parse_expr(text)).value
+    assert holes(unchecked)
+    assert all(h.cell.solution is None for h in holes(unchecked))
+    e = parse_expr(text)
+    infer_expr(TypeContext({}), e)
+    checked = eval_expr(EMPTY_ENV, e).value
+    assert pretty(unchecked) == pretty(checked)
+    t = parse_type(ty)
+    for model_name in MODEL_NAMES:
+        m = make_model(model_name)
+        got = value_potential(m, unchecked, t)
+        assert got == value_potential(m, checked, t), model_name
+        assert str(got) == str(value_potential(m, checked, t)), model_name
 
 
 def _list_value(ty, items):

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_FILES, corpus_checked, corpus_text
+from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text, holes
+from costrec.cost_eval import apply_function, program_env
+from costrec.harness import gen_value, prepare
 from costrec.source_ast import (
     BOOL, FConst, FProd, FRec, FSum, Inj, Lam, NAT_TYPE, SourceError, TInd,
     TProd, TSum, TUnit, TVar, Unit, Var, VCons, VInj, alpha_eq, free_tyvars,
     iter_subexprs, numeral, parse_expr, parse_program, parse_type, pretty,
-    pretty_type, subst_shape, Cons, TArrow, resolve_holes, subst_tyvars,
+    subst_shape, Cons,
 )
-from costrec.typecheck import fresh_meta
+from costrec.typecheck import check_program
 
 
 def test_identity_function_parses():
@@ -155,36 +159,23 @@ def test_value_pretty_uses_constructor_names():
     assert pretty(v) == "#1"
 
 
-def _corpus_types(name):
-    """Every scheme body, argument type and datatype of a checked corpus
-    program, the argument types instantiated at nat as the harness does.
-    """
-    checked = corpus_checked(name)
-    out = []
-    for scheme in checked.schemes.values():
-        out.append(scheme.body)
-        cursor = subst_tyvars(scheme.body, {a: NAT_TYPE for a in scheme.bound})
-        while isinstance(cursor, TArrow):
-            out.append(cursor.dom)
-            cursor = cursor.cod
-        out.append(cursor)
-    for decl in checked.program.datatypes.values():
-        out.append(decl.instantiate(tuple(NAT_TYPE for _ in decl.params)))
-    return out
-
-
 @pytest.mark.parametrize("name", CORPUS_FILES)
-def test_resolve_holes_returns_hole_free_types_themselves(name):
-    for ty in _corpus_types(name):
-        assert resolve_holes(ty) is ty, pretty_type(ty)
-
-
-def test_resolve_holes_rebuilds_only_around_solved_holes():
-    meta = fresh_meta()
-    meta.cell.solution = NAT_TYPE
-    kept = TSum(TUnit(), TVar("a"))
-    out = resolve_holes(TProd(kept, meta))
-    assert out == TProd(kept, NAT_TYPE)
-    assert out.left is kept and out.right is NAT_TYPE
-    unsolved = fresh_meta()
-    assert resolve_holes(unsolved) is unsolved
+def test_no_hole_outlives_checking(name):
+    # extraction, the models and printing read types as they are, so no
+    # hole may survive in the elaboration, the program's annotations, or
+    # the annotations of the values the program computes
+    checked = check_program(parse_program(corpus_text(name)))
+    elab = checked.elab
+    assert elab.types
+    assert not holes(elab.types, elab.instantiations, elab.schemes,
+                      elab.contexts, checked.schemes, checked.main_type)
+    for bname, expr in checked.program.bindings:
+        assert not holes(expr), bname
+    env, _ = program_env(checked.program)
+    rng = random.Random(29)
+    for fn in CORPUS_FUNCTIONS[name]:
+        prepared = prepare(checked, fn, ())
+        for _ in range(10):
+            args = [gen_value(t, 10, rng) for t in prepared.arg_types]
+            result = apply_function(env, fn, args).value
+            assert not holes(result), (fn, pretty(result))

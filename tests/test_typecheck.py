@@ -1,16 +1,16 @@
 import pytest
 
-from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked
+from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text
 from costrec.cost_eval import apply_function, eval_expr, program_env
 from costrec.harness import gen_value
 from costrec.source_ast import (
     BOOL, NAT_TYPE, EMPTY_ENV, MapV, FRec, TArrow, TProd, TSum, TSusp,
-    TUnit, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
+    TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
     parse_program, parse_type, pretty_type,
 )
 from costrec.typecheck import (
-    SrcTypeError, TypeContext, check_program, check_value, infer_expr,
-    is_core,
+    Elab, SrcTypeError, TypeContext, check_program, check_value, fresh_meta,
+    infer_expr, is_core, zonk,
 )
 import random
 
@@ -82,6 +82,51 @@ let f = fn (x: a) => let y = fn (z: a) => z in (y x, y true);
 def test_infer_is_deterministic():
     e = "let id = fn (x: a) => x in (id #1, id true)"
     assert infer(e) == infer(e)
+
+
+def test_zonk_rebuilds_only_around_solved_holes():
+    meta = fresh_meta()
+    meta.cell.solution = NAT_TYPE
+    kept = TSum(TUnit(), TVar("a"))
+    out = zonk(TProd(kept, meta))
+    assert out == TProd(kept, NAT_TYPE)
+    assert out.left is kept and out.right is NAT_TYPE
+    list_a = parse_type("list<a>")
+    assert zonk(list_a) is list_a
+    unsolved = fresh_meta()
+    assert zonk(unsolved) is unsolved
+
+
+def test_checking_zonks_each_entry_once(monkeypatch):
+    # each binding finalizes only the entries it recorded, so the work per
+    # binding does not grow with the bindings before it
+    n = 40
+    src = "".join(f"let f{i} = fn (x: nat) => cons(x, nil);\n" for i in range(n))
+    finalized = []
+    finalize = Elab._finalize
+
+    def counting(self, pos=None):
+        finalized.append([id(e) for e, _ in self._fresh])
+        finalize(self, pos)
+
+    monkeypatch.setattr(Elab, "_finalize", counting)
+    checked = check_program(parse_program(src))
+    assert len(finalized) == n
+    assert len({len(batch) for batch in finalized}) == 1
+    keys = [key for batch in finalized for key in batch]
+    assert len(keys) == len(set(keys)) == len(checked.elab.types)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_checking_a_program_twice_gives_equal_schemes(name):
+    # the first check writes solved constructor annotations back into the
+    # program; the second must derive the same types from them
+    program = parse_program(corpus_text(name))
+    first = check_program(program)
+    second = check_program(program)
+    assert second.schemes == first.schemes
+    assert second.main_type == first.main_type
+    assert list(second.elab.types.values()) == list(first.elab.types.values())
 
 
 def test_scheme_recorded_for_top_level_bindings():
