@@ -39,7 +39,7 @@ from .rec_lang import (
     RecType, RFold, RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd,
     RProj, RSArrow, RSConst, RSProd, RSRec, RSSum, RSum, RTVar, RTyApp,
     RTyLam, RUnit, RUnitE, RVar, RZero, check_rec, pretty_rec_type,
-    rec_free_vars, subst_rec_shape, subst_rtyvars, quantifier_free,
+    rec_free_tyvars, rec_free_vars, subst_rec_shape, subst_rtyvars, quantifier_free,
 )
 from .semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SPoly, SStar,
@@ -154,6 +154,8 @@ class Model:
     direction: str = "upper"  # 'upper' | 'lower' | 'exact'
 
     def __init__(self):
+        # fold tables, keyed by (fold node, type variables, the values of the
+        # step's free variables); see _tabulated_fold
         self._fold_cache: dict = {}
 
     # -- lattice structure ---------------------------------------------------
@@ -885,83 +887,122 @@ class ExactModel(Model):
 
 
 def denote(model: Model, env: SemEnv, e: RecExpr, elab: RecElab) -> SemValue:
-    """Clause-per-clause interpretation into the model's applicative
-    structure.  ``elab`` must come from a check_rec run over ``e``.
+    """The meaning of ``e`` in ``env``: ``e`` compiled for ``model`` by
+    ``_compile`` and run.  ``elab`` must come from a check_rec run over ``e``.
+    """
+    return _compile(model, e, elab)(env)
+
+
+Denotation = Callable[[SemEnv], SemValue]
+
+
+def _compile(model: Model, e: RecExpr, elab: RecElab) -> Denotation:
+    """The clause-per-clause interpretation of ``e`` in the model, staged:
+    one pass over the term fixes each node's clause, its checked types and
+    the model operators it applies, and returns nested closures over the
+    environment.  Running them only closes types over ``env.tyvars`` and
+    applies the operators, in the order the clauses give.  ``elab`` is not
+    read after this pass.
     """
     match e:
         case RVar(n):
-            if n not in env.vals:
-                raise ModelError(f"unbound semantic variable {n}")
-            return env.vals[n]
-        case RZero():
-            return SNum("cost", ZERO)
-        case ROne():
-            return SNum("cost", ONE)
+            def run(env):
+                try:
+                    return env.vals[n]
+                except KeyError:
+                    raise ModelError(f"unbound semantic variable {n}") from None
+            return run
+        case RZero() | ROne():
+            c = SNum("cost", ZERO if isinstance(e, RZero) else ONE)
+            return lambda env: c
         case RPlus(l, r):
-            a = denote(model, env, l, elab)
-            b = denote(model, env, r, elab)
-            if not isinstance(a, SNum) or not isinstance(b, SNum):
-                raise ModelError("+ expects costs")
-            return SNum("cost", a.num + b.num)
+            fl, fr = _compile(model, l, elab), _compile(model, r, elab)
+
+            def run(env):
+                a, b = fl(env), fr(env)
+                if not isinstance(a, SNum) or not isinstance(b, SNum):
+                    raise ModelError("+ expects costs")
+                return SNum("cost", a.num + b.num)
+            return run
         case RUnitE():
-            return SStar()
+            star = SStar()
+            return lambda env: star
         case RPair(l, r):
-            return SPair(denote(model, env, l, elab), denote(model, env, r, elab))
+            fl, fr = _compile(model, l, elab), _compile(model, r, elab)
+            return lambda env: SPair(fl(env), fr(env))
         case RProj(i, a):
-            v = denote(model, env, a, elab)
-            if not isinstance(v, SPair):
-                raise ModelError("projection from a non-pair")
-            return v.left if i == 0 else v.right
+            fa = _compile(model, a, elab)
+
+            def run(env):
+                v = fa(env)
+                if not isinstance(v, SPair):
+                    raise ModelError("projection from a non-pair")
+                return v.left if i == 0 else v.right
+            return run
         case RInj(i, ann, a):
-            return model.inj(i, denote(model, env, a, elab), env.close(ann))
+            fa, sum_ty, inj = _compile(model, a, elab), _closer(ann), model.inj
+            return lambda env: inj(i, fa(env), sum_ty(env))
         case RCase(s, x0, _, b0, x1, _, b1):
-            scrut = denote(model, env, s, elab)
-            result_ty = env.close(elab.type_of(e))
-            f0 = lambda v: denote(model, env.with_val(x0, v), b0, elab)
-            f1 = lambda v: denote(model, env.with_val(x1, v), b1, elab)
-            return model.case(scrut, f0, f1, result_ty)
+            fs, f0, f1 = (_compile(model, s, elab), _compile(model, b0, elab),
+                          _compile(model, b1, elab))
+            result_ty, case = _closer(elab.type_of(e)), model.case
+
+            def run(env):
+                scrut = fs(env)
+                return case(scrut, lambda v: f0(env.with_val(x0, v)),
+                            lambda v: f1(env.with_val(x1, v)), result_ty(env))
+            return run
         case RLam(x, _, b):
-            return SFun(lambda v: denote(model, env.with_val(x, v), b, elab))
+            fb = _compile(model, b, elab)
+            return lambda env: SFun(lambda v: fb(env.with_val(x, v)))
         case RApp(f, a):
-            vf = denote(model, env, f, elab)
-            va = denote(model, env, a, elab)
-            if not isinstance(vf, SFun):
-                raise ModelError("application of a non-function")
-            return vf(va)
+            ff, fa = _compile(model, f, elab), _compile(model, a, elab)
+
+            def run(env):
+                vf, va = ff(env), fa(env)
+                if not isinstance(vf, SFun):
+                    raise ModelError("application of a non-function")
+                return vf.fn(va)
+            return run
         case RTyLam(a, b):
-            body_ty = elab.type_of(b)
+            fb, body_ty, tyabs = _compile(model, b, elab), elab.type_of(b), model.tyabs
 
-            def instantiate(sigma: RecType, a=a, b=b):
-                return denote(model, env.with_tyvar(a, sigma), b, elab)
-
-            return model.tyabs(instantiate, a, subst_rtyvars(body_ty, {
-                v: t for v, t in env.tyvars.items() if v != a
-            }))
+            def run(env):
+                outer = {v: t for v, t in env.tyvars.items() if v != a}
+                return tyabs(lambda sigma: fb(env.with_tyvar(a, sigma)), a,
+                             subst_rtyvars(body_ty, outer))
+            return run
         case RTyApp(f, t):
-            vf = denote(model, env, f, elab)
-            fn_ty = env.close(elab.type_of(f))
-            if not isinstance(fn_ty, RForall):
-                raise ModelError("type application of a non-quantified type")
-            return model.tyapp(vf, env.close(t), fn_ty.var, fn_ty.body)
+            ff, fn_ty, arg_ty, tyapp = (_compile(model, f, elab), _closer(elab.type_of(f)),
+                                        _closer(t), model.tyapp)
+
+            def run(env):
+                vf, quantified = ff(env), fn_ty(env)
+                if not isinstance(quantified, RForall):
+                    raise ModelError("type application of a non-quantified type")
+                return tyapp(vf, arg_ty(env), quantified.var, quantified.body)
+            return run
         case RConsE(ann, a):
-            delta = env.close(ann)
-            assert isinstance(delta, RInd)
-            return model.cons(delta, denote(model, env, a, elab))
+            delta, fa, cons = _closer(ann), _compile(model, a, elab), model.cons
+            return lambda env: cons(delta(env), fa(env))
         case RDestE(ann, a):
-            delta = env.close(ann)
-            assert isinstance(delta, RInd)
-            return model.dest(delta, denote(model, env, a, elab))
+            delta, fa, dest = _closer(ann), _compile(model, a, elab), model.dest
+            return lambda env: dest(delta(env), fa(env))
         case RFold(ann, s, x, _, b):
-            delta = env.close(ann)
-            assert isinstance(delta, RInd)
-            result_ty = env.close(elab.type_of(e))
-            scrut = denote(model, env, s, elab)
-            step = lambda v: denote(model, env.with_val(x, v), b, elab)
-            key = (id(e), frozenset(env.tyvars.items()),
-                   _env_fingerprint(env, _step_free_vars(e)))
-            return model.fold(delta, result_ty, step, scrut, cache_key=key)
+            delta, result_ty = _closer(ann), _closer(elab.type_of(e))
+            fs, fb, fold = _compile(model, s, elab), _compile(model, b, elab), model.fold
+            free = _step_free_vars(e)
+
+            def run(env):
+                d, r, scrut, vals = delta(env), result_ty(env), fs(env), env.vals
+                # the node itself keys its tables: it stays alive with them
+                key = (e, frozenset(env.tyvars.items()),
+                       tuple((n, vals[n]) for n in free if n in vals))
+                return fold(d, r, lambda v: fb(env.with_val(x, v)), scrut, cache_key=key)
+            return run
         case RLet(x, a, b):
-            return denote(model, env.with_val(x, denote(model, env, a, elab)), b, elab)
+            fa, fb = _compile(model, a, elab), _compile(model, b, elab)
+            return lambda env: fb(env.with_val(x, fa(env)))
     raise ModelError(f"not a recurrence expression: {e!r}")
 
 
@@ -971,8 +1012,11 @@ def _step_free_vars(e: RFold) -> tuple[str, ...]:
                        lambda f: tuple(sorted(rec_free_vars(f.body) - {f.binder})))
 
 
-def _env_fingerprint(env: SemEnv, names: tuple[str, ...]):
-    return tuple((n, env.vals[n]) for n in names if n in env.vals)
+def _closer(ty: RecType) -> Callable[[SemEnv], RecType]:
+    """``env.close(ty)``; a type with no free type variable closes to itself."""
+    if not rec_free_tyvars(ty):
+        return lambda env: ty
+    return lambda env: env.close(ty)
 
 
 def denote_closed(model: Model, e: RecExpr) -> SemValue:

@@ -468,10 +468,11 @@ def subst_rec_type_in_expr(e: RecExpr, mapping: dict[str, RecType]) -> RecExpr:
 
 @dataclass
 class RecElab:
-    """Per-node types from a checking run (used by the denotation function
-    to find branch result types and instantiate annotations), keyed by node
-    identity.  The table is valid while the checked term is alive; the
-    caller keeps it.
+    """Per-node types from a checking run, keyed by node identity.  The
+    denotation function reads them when it compiles a term (for the result
+    types of case and fold nodes and the quantified types of type
+    applications), never while running it.  The table is valid while the
+    checked term is alive; the caller keeps it.
     """
 
     types: dict[int, RecType] = field(default_factory=dict)

@@ -198,15 +198,24 @@ def _unify_functor(f1, f2, pos) -> None:
 @dataclass
 class TypeContext:
     vars: dict[str, TypeScheme]
+    # the names whose schemes may hold holes or free type variables (all of
+    # them when not given); ``check_program`` leaves its closed, hole-free
+    # top-level schemes out, so generalizing and finalizing skip them
+    open: Optional[frozenset] = None
+
+    def __post_init__(self):
+        if self.open is None:
+            self.open = frozenset(self.vars)
 
     def extend(self, name: str, scheme: TypeScheme) -> "TypeContext":
         out = dict(self.vars)
         out[name] = scheme
-        return TypeContext(out)
+        return TypeContext(out, self.open | {name})
 
     def free_tyvars(self) -> set[str]:
         out: set[str] = set()
-        for s in self.vars.values():
+        for name in self.open:
+            s = self.vars[name]
             out |= free_tyvars(zonk(s.body)) - set(s.bound)
         return out
 
@@ -225,6 +234,8 @@ class Elab:
     contexts: dict[int, dict[str, TypeScheme]] = field(default_factory=dict)
     # (node, type) inferred since the last _finalize, not yet in ``types``
     _fresh: list = field(default_factory=list)
+    # (node id, open names) of the contexts recorded since then
+    _fresh_contexts: list = field(default_factory=list)
 
     def type_of(self, e: SrcExpr) -> SrcType:
         return self.types[id(e)]
@@ -257,8 +268,16 @@ class Elab:
                 self.instantiations[key] = zs
             if key in self.schemes:
                 self.schemes[key] = _zonk_scheme(self.schemes[key])
-            if key in self.contexts:
-                self.contexts[key] = {n: _zonk_scheme(s) for n, s in self.contexts[key].items()}
+        fresh_contexts, self._fresh_contexts = self._fresh_contexts, []
+        for key, names in fresh_contexts:
+            ctx = self.contexts[key]
+            for n in names:
+                ctx[n] = _zonk_scheme(ctx[n])
+
+
+def _record_context(ctx: TypeContext, e: SrcExpr, elab: Elab) -> None:
+    elab.contexts[id(e)] = dict(ctx.vars)
+    elab._fresh_contexts.append((id(e), ctx.open))
 
 
 def _zonk_scheme(scheme: TypeScheme) -> TypeScheme:
@@ -342,7 +361,7 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             unify(t0, t1, _pos(e))
             return t0
         case Lam(x, ann, body):
-            elab.contexts[id(e)] = dict(ctx.vars)
+            _record_context(ctx, e, elab)
             tb = _infer(ctx.extend(x, TypeScheme((), ann)), body, elab)
             return TArrow(ann, tb)
         case App(f, a):
@@ -359,7 +378,7 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             unify(ta, tf.dom, _pos(e))
             return tf.cod
         case Delay(body):
-            elab.contexts[id(e)] = dict(ctx.vars)
+            _record_context(ctx, e, elab)
             return TSusp(_infer(ctx, body, elab))
         case Force(a):
             ta = _shorten(_infer(ctx, a, elab))
@@ -439,7 +458,9 @@ def check_program(program: Program) -> CheckedProgram:
         gen = tuple(sorted(free_tyvars(ty) - ctx.free_tyvars()))
         scheme = TypeScheme(gen, ty)
         schemes[name] = scheme
-        ctx = ctx.extend(name, scheme)
+        # closed and hole-free: generalization binds every free variable
+        # (none is free in this context) and _finalize has zonked ty
+        ctx = TypeContext({**ctx.vars, name: scheme}, ctx.open - {name})
     main_type = None
     if program.main is not None:
         if not is_core(program.main):

@@ -3,17 +3,22 @@ operator laws in each model's order direction, the Galois connection, and
 soundness of the size-order axioms.
 """
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 
 from conftest import (
-    CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted, holes,
+    CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted, corpus_text,
+    holes,
 )
-from costrec.extract import potential_type
+from costrec import models
+from costrec.cli import _parse_at
+from costrec.extract import extract_program, potential_type
 from costrec.cost_eval import apply_function, eval_expr
-from costrec.harness import gen_value, prepare
+from costrec.harness import apply_bound, gen_value, prepare, run_trial
 from costrec.models import (
     MODEL_NAMES, AllConsModel, ExactModel, LowerSizeModel, MergedModel,
     ModelError, SemEnv, _min_antichain, SizeHeightModel, denote, denote_closed,
@@ -21,21 +26,22 @@ from costrec.models import (
     value_potential,
 )
 from costrec.rec_lang import (
-    RC, RCase, RecElab, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
+    RC, RCase, RecElab, RecExpr, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
     RSRec, RSSum, RSum, RUnit, RUnitE, RVar, RZero, ROne, check_rec,
     map_macro_typed, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
-    RPlus, pretty_rec_type,
+    RPlus, RForall, RLet, RTyApp, RTyLam, pretty_rec_type, rec_free_vars,
+    subst_rtyvars,
 )
 from costrec.semdom import (
-    INF, ONE, ZERO, SFun, SIdeal, SMap, SNum, SPair, SStar, SizeMap,
+    INF, ONE, ZERO, SemError, SFun, SIdeal, SMap, SNum, SPair, SStar, SizeMap,
     UnsupportedFeature, XCons, antichain, ext, sem_leq,
 )
 from costrec.source_ast import (
-    EMPTY_ENV, NAT_TYPE, TInd, TProd, TSum, TUnit, VCons, VInj, VPair, VUnit,
-    numeral_value, parse_expr, parse_type, pretty, pretty_type, subst_shape,
-    type_memo,
+    EMPTY_ENV, NAT_TYPE, TArrow, TInd, TProd, TSum, TUnit, VCons, VInj, VPair,
+    VUnit, numeral_value, parse_expr, parse_type, pretty, pretty_type,
+    parse_program, subst_shape, subst_tyvars, type_memo,
 )
-from costrec.typecheck import TypeContext, infer_expr
+from costrec.typecheck import TypeContext, check_program, infer_expr
 
 NAT = potential_type(NAT_TYPE)
 LIST_NAT = potential_type(parse_type("list<nat>"))
@@ -950,3 +956,258 @@ def test_fold_table_is_filled_once_per_cache_key():
     assert len(calls) == 50
     assert m.fold(NAT, RC(), step, size(60), cache_key="k") == cost(59)
     assert len(calls) == 60
+
+
+# ---------------------------------------------------------------------------
+# The compiled denotation
+# ---------------------------------------------------------------------------
+
+
+def _interpret(model, env, e, elab):
+    """The clause-per-clause interpretation, walking ``e`` at every call:
+    the reference the closures of ``denote`` must match.
+    """
+    match e:
+        case RVar(n):
+            if n not in env.vals:
+                raise ModelError(f"unbound semantic variable {n}")
+            return env.vals[n]
+        case RZero():
+            return SNum("cost", ZERO)
+        case ROne():
+            return SNum("cost", ONE)
+        case RPlus(l, r):
+            a = _interpret(model, env, l, elab)
+            b = _interpret(model, env, r, elab)
+            if not isinstance(a, SNum) or not isinstance(b, SNum):
+                raise ModelError("+ expects costs")
+            return SNum("cost", a.num + b.num)
+        case RUnitE():
+            return SStar()
+        case RPair(l, r):
+            return SPair(_interpret(model, env, l, elab), _interpret(model, env, r, elab))
+        case RProj(i, a):
+            v = _interpret(model, env, a, elab)
+            if not isinstance(v, SPair):
+                raise ModelError("projection from a non-pair")
+            return v.left if i == 0 else v.right
+        case RInj(i, ann, a):
+            return model.inj(i, _interpret(model, env, a, elab), env.close(ann))
+        case RCase(s, x0, _, b0, x1, _, b1):
+            scrut = _interpret(model, env, s, elab)
+            result_ty = env.close(elab.type_of(e))
+            f0 = lambda v: _interpret(model, env.with_val(x0, v), b0, elab)
+            f1 = lambda v: _interpret(model, env.with_val(x1, v), b1, elab)
+            return model.case(scrut, f0, f1, result_ty)
+        case RLam(x, _, b):
+            return SFun(lambda v: _interpret(model, env.with_val(x, v), b, elab))
+        case RApp(f, a):
+            vf = _interpret(model, env, f, elab)
+            va = _interpret(model, env, a, elab)
+            if not isinstance(vf, SFun):
+                raise ModelError("application of a non-function")
+            return vf(va)
+        case RTyLam(a, b):
+            body_ty = elab.type_of(b)
+
+            def instantiate(sigma, a=a, b=b):
+                return _interpret(model, env.with_tyvar(a, sigma), b, elab)
+
+            return model.tyabs(instantiate, a, subst_rtyvars(body_ty, {
+                v: t for v, t in env.tyvars.items() if v != a}))
+        case RTyApp(f, t):
+            vf = _interpret(model, env, f, elab)
+            fn_ty = env.close(elab.type_of(f))
+            if not isinstance(fn_ty, RForall):
+                raise ModelError("type application of a non-quantified type")
+            return model.tyapp(vf, env.close(t), fn_ty.var, fn_ty.body)
+        case RConsE(ann, a):
+            return model.cons(env.close(ann), _interpret(model, env, a, elab))
+        case RDestE(ann, a):
+            return model.dest(env.close(ann), _interpret(model, env, a, elab))
+        case RFold(ann, s, x, _, b):
+            delta = env.close(ann)
+            result_ty = env.close(elab.type_of(e))
+            scrut = _interpret(model, env, s, elab)
+            step = lambda v: _interpret(model, env.with_val(x, v), b, elab)
+            free = sorted(rec_free_vars(b) - {x})
+            key = (id(e), frozenset(env.tyvars.items()),
+                   tuple((n, env.vals[n]) for n in free if n in env.vals))
+            return model.fold(delta, result_ty, step, scrut, cache_key=key)
+        case RLet(x, a, b):
+            return _interpret(model, env.with_val(x, _interpret(model, env, a, elab)), b, elab)
+    raise ModelError(f"not a recurrence expression: {e!r}")
+
+
+def _bound_term(checked, extracted, fn):
+    """The term prepare denotes for fn, its checked types, and fn's type
+    with every quantified variable at nat.
+    """
+    scheme, binding = checked.schemes[fn], extracted.bindings[fn]
+    term = binding.potential if scheme.bound else binding.complexity
+    elab = RecElab()
+    check_rec({}, term, elab)
+    mono = subst_tyvars(scheme.body, {a: NAT_TYPE for a in scheme.bound})
+    return term, elab, mono
+
+
+def _instantiated(model, value, checked, extracted, fn):
+    """A denotation of the term of ``_bound_term`` as a complexity: the
+    potential at nat paired with cost 0 when fn is polymorphic.
+    """
+    scheme, binding = checked.schemes[fn], extracted.bindings[fn]
+    if not scheme.bound:
+        return value
+    ty = binding.potential_ty
+    for _ in scheme.bound:
+        value = model.tyapp(value, NAT, ty.var, ty.body)
+        ty = ty.body
+    return SPair(cost(0), value)
+
+
+def _arg_potentials(model, ty, program, rng):
+    """Input potentials at source type ty: main counts 0..8, and the top
+    where the model has one, at an inductive type; generated values at any
+    other first-order type; at nat -> nat the identity charging 1, and the
+    bottom and top functions where the model has them.
+    """
+    pot_ty = potential_type(ty)
+    if isinstance(ty, TArrow):
+        out = [SFun(lambda p: SPair(cost(1), p))]
+        return out if model.name == "exact" else out + [model.bottom(pot_ty), model.top(pot_ty)]
+    if isinstance(ty, TInd) and model.name != "exact":
+        return [_parse_at(str(n), model, ty, program) for n in range(9)] + [model.top(pot_ty)]
+    return [value_potential(model, gen_value(ty, 8, rng), ty) for _ in range(9)]
+
+
+COMPILE_SEED = 8088
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (SemError, RecursionError) as exc:
+        return exc
+
+
+def _assert_agree(got, want, ty, model, program, rng, where):
+    """got and want, potentials at source type ty (or the exceptions their
+    computation raised), are equal with equal strings; at an arrow type,
+    at each potential of the domain, so are the complexities they return.
+    """
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), where
+        return
+    if not isinstance(ty, TArrow):
+        assert got == want, where
+        assert str(got) == str(want), where
+        return
+    for i, p in enumerate(_arg_potentials(model, ty.dom, program, rng)):
+        out_got, out_want = _outcome(lambda: got(p)), _outcome(lambda: want(p))
+        if isinstance(out_got, SPair) and isinstance(out_want, SPair):
+            assert out_got.left == out_want.left, (*where, i)
+            assert str(out_got.left) == str(out_want.left), (*where, i)
+            out_got, out_want = out_got.right, out_want.right
+        _assert_agree(out_got, out_want, ty.cod, model, program, rng, (*where, i))
+
+
+def test_compiled_denotation_equals_the_clause_interpreter():
+    print(f"compile seed {COMPILE_SEED}")
+    for name in CORPUS_FILES:
+        checked, extracted = corpus_checked(name), corpus_extracted(name)
+        for fn in checked.schemes:
+            term, elab, mono = _bound_term(checked, extracted, fn)
+            for model_name in MODEL_NAMES:
+                where = (COMPILE_SEED, name, fn, model_name)
+                # separate instances: neither side reads the other's fold tables
+                compiled, reference = make_model(model_name), make_model(model_name)
+                got = _outcome(lambda: _instantiated(
+                    compiled, denote(compiled, SemEnv(), term, elab), checked, extracted, fn))
+                want = _outcome(lambda: _instantiated(
+                    reference, _interpret(reference, SemEnv(), term, elab),
+                    checked, extracted, fn))
+                assert isinstance(got, SPair) and isinstance(want, SPair), where
+                assert got.left == want.left and str(got.left) == str(want.left), where
+                _assert_agree(got.right, want.right, mono, compiled, checked.program,
+                              random.Random(COMPILE_SEED), where)
+
+
+def _term_nodes(e):
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(v for v in vars(node).values() if isinstance(v, RecExpr))
+    return out
+
+
+@pytest.mark.parametrize("name,fn", [(n, f) for n, fns in sorted(CORPUS_FUNCTIONS.items())
+                                     for f in fns])
+def test_prepare_compiles_each_node_once_per_model(name, fn, monkeypatch):
+    compiled = []
+    compile_node = models._compile
+
+    def counting(model, e, elab):
+        compiled.append((model.name, e))
+        return compile_node(model, e, elab)
+
+    monkeypatch.setattr(models, "_compile", counting)
+    checked, extracted = corpus_checked(name), corpus_extracted(name)
+    p = prepare(checked, fn, MODEL_NAMES, extracted)
+    term, _, _ = _bound_term(checked, extracted, fn)
+    nodes = sorted(map(id, _term_nodes(term)))
+    for model_name in MODEL_NAMES:
+        assert sorted(id(e) for m, e in compiled if m == model_name) == nodes
+    done = len(compiled)
+    rng = random.Random(COMPILE_SEED)
+    cache: dict = {}
+    for index in range(50):
+        run_trial(p, [gen_value(t, 12, rng) for t in p.arg_types], index, cache)
+    for model_name, (model, base_cost, pot) in p.denoted.items():
+        for n in range(1, 11):
+            args = [_parse_at(str(n), model, t, checked.program) if isinstance(t, TInd)
+                    and model_name != "exact" else value_potential(model, gen_value(t, n, rng), t)
+                    for t in p.arg_types]
+            apply_bound(model, base_cost, pot, args)
+    assert len(compiled) == done
+
+
+FOLD_KEY_FUNCTIONS = sorted((n, f) for n, fns in CORPUS_FUNCTIONS.items() for f in fns)
+
+
+def test_a_model_reused_across_fresh_terms_gives_fresh_bounds():
+    # every term is dropped before the next is extracted, so a table keyed
+    # by a node's address could be found again by a new fold at that address
+    shared = {m: make_model(m) for m in MODEL_NAMES}
+    folds = []
+    rng = random.Random(COMPILE_SEED)
+    print(f"compile seed {COMPILE_SEED}")
+    for i in range(200):
+        name, fn = FOLD_KEY_FUNCTIONS[rng.randrange(len(FOLD_KEY_FUNCTIONS))]
+        checked = check_program(parse_program(corpus_text(name)))
+        extracted = extract_program(checked)
+        term, elab, mono = _bound_term(checked, extracted, fn)
+        arg_types = []
+        while isinstance(mono, TArrow):
+            arg_types.append(mono.dom)
+            mono = mono.cod
+        n = rng.randint(1, 8)
+        values = [gen_value(t, n, random.Random(i)) for t in arg_types]
+        for model_name in MODEL_NAMES:
+            bounds = []
+            for model in (shared[model_name], make_model(model_name)):
+                cpx = _instantiated(model, denote(model, SemEnv(), term, elab),
+                                    checked, extracted, fn)
+                args = [_parse_at(str(n), model, t, checked.program)
+                        if isinstance(t, TInd) and model_name != "exact"
+                        else value_potential(model, v, t) for t, v in zip(arg_types, values)]
+                cost_bound, pot = apply_bound(model, cpx.left.num, cpx.right, args)
+                bounds.append((str(cost_bound), str(pot)))
+            assert bounds[0] == bounds[1], (COMPILE_SEED, i, name, fn, model_name)
+        folds += [weakref.ref(e) for e in _term_nodes(term) if isinstance(e, RFold)]
+        del checked, extracted, term, elab
+    gc.collect()
+    # the tables are keyed by the fold nodes themselves, which they keep alive
+    keys = [key for m in shared.values() for key in m._fold_cache]
+    assert keys and all(isinstance(key[0], RFold) for key in keys)
+    assert {id(key[0]) for key in keys} <= {id(r()) for r in folds if r() is not None}

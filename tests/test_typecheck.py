@@ -8,6 +8,7 @@ from costrec.source_ast import (
     TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
     parse_program, parse_type, pretty_type,
 )
+from costrec import typecheck
 from costrec.typecheck import (
     Elab, SrcTypeError, TypeContext, check_program, check_value, fresh_meta,
     infer_expr, is_core, zonk,
@@ -115,6 +116,28 @@ def test_checking_zonks_each_entry_once(monkeypatch):
     assert len({len(batch) for batch in finalized}) == 1
     keys = [key for batch in finalized for key in batch]
     assert len(keys) == len(set(keys)) == len(checked.elab.types)
+
+
+def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
+    # top-level schemes are closed and hole-free, so neither generalizing a
+    # binding nor finalizing the context of its lambda zonks the earlier ones
+    calls = []
+    monkeypatch.setattr(typecheck, "zonk", lambda ty, zonk=zonk: calls.append(1) or zonk(ty))
+    per_binding = []
+    for n in (100, 400):
+        program = parse_program(
+            "".join(f"let f{i} = fn (x: nat) => cons(x, nil);\n" for i in range(n)))
+        calls.clear()
+        check_program(program)
+        per_binding.append(len(calls) / n)
+    assert per_binding[0] == per_binding[1]
+
+
+def test_given_and_local_schemes_take_part_in_generalization():
+    # only the top-level schemes check_program makes are known to be closed
+    ctx = TypeContext({"f": TypeScheme((), TVar("a"))})
+    assert ctx.free_tyvars() == {"a"}
+    assert ctx.extend("z", TypeScheme((), TVar("b"))).free_tyvars() == {"a", "b"}
 
 
 @pytest.mark.parametrize("name", CORPUS_FILES)
