@@ -269,50 +269,44 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="type check a program")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("eval", help="evaluate main (or a binding) and report cost")
     p.add_argument("file")
     p.add_argument("--main", help="name of the binding to evaluate")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("extract", help="print the extracted recurrences")
     p.add_argument("file")
     p.add_argument("--simplify", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_extract)
+    p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("analyze", help="denote a recurrence at given input potentials")
     p.add_argument("file")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    p.add_argument("--fn", required=True, dest="fn_name")
+    p.add_argument("--fn", required=True)
     p.add_argument("--at", action="append",
                    help="input potentials, one per argument (repeat or separate with ';')")
     p.add_argument("--inst", help="type to instantiate polymorphic functions at (default nat)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("verify", help="empirically check bounds on random inputs")
     p.add_argument("file")
-    p.add_argument("--fn", dest="fn_name2", help="binding to verify (default: last)")
+    p.add_argument("--fn", help="binding to verify (default: last)")
     p.add_argument("--model", action="append", choices=MODEL_NAMES,
                    help="model(s) to check (default: all)")
     p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-size", type=_at_least(0), default=12)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(handler=cmd_verify)
 
     args = parser.parse_args(argv)
-    command = args.fn
-    # untangle the naming collision between the handler and --fn options
-    if hasattr(args, "fn_name"):
-        args.fn = args.fn_name
-    if hasattr(args, "fn_name2"):
-        args.fn = args.fn_name2
     try:
-        return _on_deep_stack(command, args)
+        return _on_deep_stack(args.handler, args)
     except (S.SourceError, SrcTypeError) as exc:
         _report_error(args, str(exc), {"error": exc.msg, "line": exc.line, "column": exc.col})
         return 1

@@ -200,7 +200,7 @@ class TypeContext:
     vars: dict[str, TypeScheme]
     # the names whose schemes may hold holes or free type variables (all of
     # them when not given); ``check_program`` leaves its closed, hole-free
-    # top-level schemes out, so generalizing and finalizing skip them
+    # top-level schemes out, so generalizing skips them
     open: Optional[frozenset] = None
 
     def __post_init__(self):
@@ -231,11 +231,8 @@ class Elab:
     instantiations: dict[int, tuple[SrcType, ...]] = field(default_factory=dict)
     schemes: dict[int, TypeScheme] = field(default_factory=dict)  # var -> used scheme
     let_generalized: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    contexts: dict[int, dict[str, TypeScheme]] = field(default_factory=dict)
     # (node, type) inferred since the last _finalize, not yet in ``types``
     _fresh: list = field(default_factory=list)
-    # (node id, open names) of the contexts recorded since then
-    _fresh_contexts: list = field(default_factory=list)
 
     def type_of(self, e: SrcExpr) -> SrcType:
         return self.types[id(e)]
@@ -268,16 +265,6 @@ class Elab:
                 self.instantiations[key] = zs
             if key in self.schemes:
                 self.schemes[key] = _zonk_scheme(self.schemes[key])
-        fresh_contexts, self._fresh_contexts = self._fresh_contexts, []
-        for key, names in fresh_contexts:
-            ctx = self.contexts[key]
-            for n in names:
-                ctx[n] = _zonk_scheme(ctx[n])
-
-
-def _record_context(ctx: TypeContext, e: SrcExpr, elab: Elab) -> None:
-    elab.contexts[id(e)] = dict(ctx.vars)
-    elab._fresh_contexts.append((id(e), ctx.open))
 
 
 def _zonk_scheme(scheme: TypeScheme) -> TypeScheme:
@@ -361,7 +348,6 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             unify(t0, t1, _pos(e))
             return t0
         case Lam(x, ann, body):
-            _record_context(ctx, e, elab)
             tb = _infer(ctx.extend(x, TypeScheme((), ann)), body, elab)
             return TArrow(ann, tb)
         case App(f, a):
@@ -378,7 +364,6 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             unify(ta, tf.dom, _pos(e))
             return tf.cod
         case Delay(body):
-            _record_context(ctx, e, elab)
             return TSusp(_infer(ctx, body, elab))
         case Force(a):
             ta = _shorten(_infer(ctx, a, elab))
@@ -415,7 +400,10 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             return res
         case Let(x, bound, body):
             tb = zonk(_infer(ctx, bound, elab))
-            gen = tuple(sorted(free_tyvars(tb) - ctx.free_tyvars()))
+            # a bound with no type variables generalizes nothing, whatever
+            # the context holds, so only a polymorphic one scans it
+            tvs = free_tyvars(tb)
+            gen = tuple(sorted(tvs - ctx.free_tyvars())) if tvs else ()
             elab.let_generalized[id(e)] = gen
             scheme = TypeScheme(gen, tb)
             return _infer(ctx.extend(x, scheme), body, elab)
@@ -450,21 +438,17 @@ def check_program(program: Program) -> CheckedProgram:
     ctx = TypeContext({})
     schemes: dict[str, TypeScheme] = {}
     for name, expr in program.bindings:
-        if not is_core(expr):
-            raise SrcTypeError(f"binding {name} is not in the core language")
         _infer(ctx, expr, elab)
         elab._finalize(getattr(expr, "pos", None))
         ty = elab.type_of(expr)  # _finalize has rejected any hole left in it
-        gen = tuple(sorted(free_tyvars(ty) - ctx.free_tyvars()))
-        scheme = TypeScheme(gen, ty)
+        # every earlier scheme is closed, so no type variable is free in the
+        # context and generalization binds all of them; the scheme is
+        # closed and hole-free, so it stays out of ``ctx.open``
+        scheme = TypeScheme(tuple(sorted(free_tyvars(ty))), ty)
         schemes[name] = scheme
-        # closed and hole-free: generalization binds every free variable
-        # (none is free in this context) and _finalize has zonked ty
-        ctx = TypeContext({**ctx.vars, name: scheme}, ctx.open - {name})
+        ctx.vars[name] = scheme
     main_type = None
     if program.main is not None:
-        if not is_core(program.main):
-            raise SrcTypeError("main is not in the core language")
         _infer(ctx, program.main, elab)
         elab._finalize(getattr(program.main, "pos", None))
         main_type = elab.type_of(program.main)
@@ -634,23 +618,12 @@ def _check_closure_env(checked, e: SrcExpr, env: ValueEnv,
     """
     if checked is None:
         return  # nothing recorded; body well-typedness was never established
-    elab = checked.elab
-    static_ctx = elab.contexts.get(id(e))
-    needed = free_vars(e)
-    binder = e.binder if isinstance(e, Lam) else None
-    for name in needed:
-        if name == binder:
-            continue
+    for name in free_vars(e):
         try:
             val = env.lookup(name)
         except KeyError:
             raise SrcTypeError(f"closure environment is missing {name}") from None
-        demanded = _demanded_instances(elab, e, name, grounding)
-        if not demanded and static_ctx and name in static_ctx:
-            scheme = static_ctx[name]
-            if not scheme.bound:
-                demanded = [subst_tyvars(scheme.body, grounding)]
-        for inst_ty in demanded:
+        for inst_ty in _demanded_instances(checked.elab, e, name, grounding):
             if free_tyvars(inst_ty):
                 continue  # non-ground instance: outside the checkable fragment
             _check_value(checked, val, inst_ty, {})

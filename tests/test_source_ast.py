@@ -168,7 +168,7 @@ def test_no_hole_outlives_checking(name):
     elab = checked.elab
     assert elab.types
     assert not holes(elab.types, elab.instantiations, elab.schemes,
-                      elab.contexts, checked.schemes, checked.main_type)
+                      checked.schemes, checked.main_type)
     for bname, expr in checked.program.bindings:
         assert not holes(expr), bname
     env, _ = program_env(checked.program)

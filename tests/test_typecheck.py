@@ -4,8 +4,8 @@ from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text
 from costrec.cost_eval import apply_function, eval_expr, program_env
 from costrec.harness import gen_value
 from costrec.source_ast import (
-    BOOL, NAT_TYPE, EMPTY_ENV, MapV, FRec, TArrow, TProd, TSum, TSusp,
-    TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
+    BOOL, NAT_TYPE, EMPTY_ENV, MapV, FRec, Lam, Program, TArrow, TProd, TSum,
+    TSusp, TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
     parse_program, parse_type, pretty_type,
 )
 from costrec import typecheck
@@ -119,8 +119,8 @@ def test_checking_zonks_each_entry_once(monkeypatch):
 
 
 def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
-    # top-level schemes are closed and hole-free, so neither generalizing a
-    # binding nor finalizing the context of its lambda zonks the earlier ones
+    # top-level schemes are closed and hole-free, so generalizing a binding
+    # zonks none of the earlier ones
     calls = []
     monkeypatch.setattr(typecheck, "zonk", lambda ty, zonk=zonk: calls.append(1) or zonk(ty))
     per_binding = []
@@ -131,6 +131,40 @@ def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
         check_program(program)
         per_binding.append(len(calls) / n)
     assert per_binding[0] == per_binding[1]
+
+
+def test_checker_state_is_linear_in_the_bindings():
+    # the elaboration keeps a fixed number of entries per node, and no copy
+    # of the context, so its size per binding does not grow with the program
+    def entries(elab):
+        tables = [t for t in vars(elab).values() if isinstance(t, dict)]
+        return sum(len(t) + sum(len(v) for v in t.values() if isinstance(v, dict))
+                   for t in tables)
+
+    per_binding = []
+    for n in (100, 400):
+        checked = check_program(parse_program(
+            "".join(f"let f{i} = fn (x: nat) => cons(x, nil);\n" for i in range(n))))
+        per_binding.append(entries(checked.elab) / n)
+    assert per_binding[0] == per_binding[1]
+
+
+def test_monomorphic_lets_do_not_rescan_the_context(monkeypatch):
+    # a bound with no type variables generalizes nothing, so a let chain
+    # inside one lambda zonks none of the enclosing lets' schemes again
+    calls = []
+    monkeypatch.setattr(typecheck, "zonk", lambda ty, zonk=zonk: calls.append(1) or zonk(ty))
+
+    def zonks(k):
+        chain = "".join(f"let y{i} = S(y{i - 1}) in\n" for i in range(1, k + 1))
+        program = parse_program(f"let f = fn (y0: nat) =>\n{chain}y{k};\n")
+        calls.clear()
+        check_program(program)
+        return len(calls)
+
+    base = zonks(0)
+    per_let = [(zonks(k) - base) / k for k in (100, 400)]
+    assert per_let[0] == per_let[1]
 
 
 def test_given_and_local_schemes_take_part_in_generalization():
@@ -169,6 +203,11 @@ def test_map_not_typeable_in_core_mode():
     mapv = MapV(FRec(), "y", VUnit(), VUnit())
     with pytest.raises(SrcTypeError):
         infer_expr(TypeContext({}), mapv)
+    # the parser never builds map nodes, but checking rejects a program
+    # that holds one, at any depth
+    for expr in (mapv, Lam("x", TUnit(), mapv)):
+        with pytest.raises(SrcTypeError):
+            check_program(Program({}, [("f", expr)]))
 
 
 # ---------------------------------------------------------------------------
