@@ -3,13 +3,15 @@
 Subcommands: check | eval | extract | analyze | verify.  Exit codes: 0 on
 success, 1 on an analysis failure or counterexample, 2 on usage errors.  An
 analysis failure prints one line on stderr (a JSON error document under
-``--json``), never a traceback.
+``--json``), never a traceback.  Standard output closed by its reader ends
+the command with exit code 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 
@@ -306,7 +308,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _on_deep_stack(args.handler, args)
+        code = _on_deep_stack(args.handler, args)
+        sys.stdout.flush()  # so that a closed pipe is reported here
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output early (`costrec verify ... | head
+        # -1`): stop quietly, and send what is still buffered to devnull so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (S.SourceError, SrcTypeError) as exc:
         _report_error(args, str(exc), {"error": exc.msg, "line": exc.line, "column": exc.col})
         return 1

@@ -304,23 +304,60 @@ def extract_program(checked: T.CheckedProgram) -> ExtractedProgram:
     earlier bindings it uses, directly or through one another.
     """
     out: dict[str, ExtractedBinding] = {}
-    earlier: Bindings = []  # each binding's potential, free in earlier names
+    earlier = _TopLevel()
     elab = checked.elab
     for name, expr in checked.program.bindings:
         binds: Bindings = []
         tail = _extract(expr, elab, {}, binds)
         scheme = checked.schemes[name]
         pot = _generalize(_close(binds, tail.right), scheme.bound)
+        pot_free = rec_free_vars(pot)
         out[name] = ExtractedBinding(
             name=name,
             scheme=scheme,
-            complexity=_close(earlier, _close(binds, tail)),
+            complexity=earlier.close(_close(binds, tail)),
             complexity_ty=RProd(RC(), potential_type(scheme.body)),
-            potential=_close(earlier, pot),
+            potential=earlier.close(pot, pot_free),
             potential_ty=scheme_potential(scheme),
         )
-        earlier.append((name, pot))
+        earlier.add(name, pot, pot_free)
     main = None
     if checked.program.main is not None:
-        main = _close(earlier, extract_expr(checked.program.main, elab))
+        main = earlier.close(extract_expr(checked.program.main, elab))
     return ExtractedProgram(out, main)
+
+
+class _TopLevel:
+    """The potentials of the top-level bindings extracted so far.  Each one
+    keeps the indices of the earlier bindings its free variables name (the
+    latest of each name before it), found once when it is added, so closing
+    a term visits only the bindings it uses.
+    """
+
+    def __init__(self):
+        self.pots: Bindings = []
+        self.deps: list[tuple[int, ...]] = []
+        self.latest: dict[str, int] = {}
+
+    def _indices(self, names: set[str]) -> list[int]:
+        return [self.latest[x] for x in names if x in self.latest]
+
+    def add(self, name: str, pot: RecExpr, free: set[str]) -> None:
+        self.deps.append(tuple(self._indices(free)))
+        self.latest[name] = len(self.pots)
+        self.pots.append((name, pot))
+
+    def close(self, body: RecExpr, free: set[str] | None = None) -> RecExpr:
+        """Wrap ``body`` in the lets of the bindings it uses, directly or
+        through one another, the earliest outermost.
+        """
+        todo = self._indices(rec_free_vars(body) if free is None else free)
+        used = set(todo)
+        while todo:
+            for j in self.deps[todo.pop()]:
+                if j not in used:
+                    used.add(j)
+                    todo.append(j)
+        for i in sorted(used, reverse=True):
+            body = RLet(*self.pots[i], body)
+        return body

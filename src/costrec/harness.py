@@ -31,7 +31,7 @@ from .models import (
 )
 from .rec_lang import RecElab, RForall, check_rec
 from .semdom import (
-    SFun, SPair, SemValue, UnsupportedFeature, ext, sem_leq,
+    SFun, SPair, SemValue, UnsupportedFeature, canonical, ext, sem_leq,
 )
 
 
@@ -384,7 +384,8 @@ def prepare(checked: T.CheckedProgram, fn: str, model_names: tuple[str, ...],
 def apply_bound(model: Model, base_cost, pot: SemValue,
                 arg_potentials: list[SemValue]):
     """Apply a denoted potential to argument potentials, accumulating the
-    cost components of each application.
+    cost components of each application; the resulting potential is
+    ``canonical``.
     """
     total = base_cost
     cur = pot
@@ -396,7 +397,7 @@ def apply_bound(model: Model, base_cost, pot: SemValue,
             raise HarnessError("application did not produce a complexity")
         total = total + out.left.num
         cur = out.right
-    return total, cur
+    return total, canonical(cur)
 
 
 # ---------------------------------------------------------------------------

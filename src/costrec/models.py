@@ -44,7 +44,7 @@ from .rec_lang import (
 from .semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SPoly, SStar,
     SemError, SemValue, SizeMap, UnsupportedFeature, XCons, XInj, antichain,
-    ideal_case, sem_join_vals, sem_leq, sem_meet_vals,
+    canonical, ideal_case, sem_join_vals, sem_leq, sem_meet_vals,
 )
 
 
@@ -254,6 +254,10 @@ class Model:
         bottom-up and a large ``n`` never deepens the Python stack.  Tables
         live in ``_fold_cache[cache_key]``, one per ``fixed``: the size-map
         entries other than the main count, which recursive positions inherit.
+
+        Decompositions and their images are neither pruned nor sorted, as
+        dominated generators denote the same ideals; each entry is stored
+        ``canonical``.
         """
         if not shape_is_polynomial(delta.functor):
             raise UnsupportedFeature("fold over a non-polynomial shape functor")
@@ -269,8 +273,8 @@ class Model:
                 if i in table:
                     continue
                 zs = decompose(i)
-                table[i] = self.bottom(result_ty) if zs is None else combine(
-                    [step(self.map_shape(delta.functor, rec, z)) for z in zs], result_ty)
+                table[i] = self.bottom(result_ty) if zs is None else canonical(combine(
+                    [step(self.map_shape(delta.functor, rec, z)) for z in zs], result_ty))
         return table[n.value]
 
     # -- polymorphism -----------------------------------------------------------
@@ -301,10 +305,8 @@ class Model:
             case RSSum(l, r):
                 if not isinstance(x, SIdeal):
                     raise ModelError("sum shape expects an ideal")
-                return SIdeal(
-                    antichain(self.map_shape(l, g, v) for v in x.left),
-                    antichain(self.map_shape(r, g, v) for v in x.right),
-                )
+                return SIdeal(tuple(self.map_shape(l, g, v) for v in x.left),
+                              tuple(self.map_shape(r, g, v) for v in x.right))
             case RSArrow(_, b):
                 if not isinstance(x, SFun):
                     raise ModelError("arrow shape expects a function")
@@ -315,10 +317,10 @@ class Model:
 def _shape_sizes(f: RecShape) -> tuple[bool, Optional[int]]:
     """The sizes that maximal values of shape ``f`` take, products summing
     their sides, as ``(zero, least)``: 0 when ``zero`` holds, and every size
-    from ``least`` up when it is not None.  Sums and products keep sets of
-    this form.  Constants count as inhabited; one that is not (an allcons
-    constant clipped away) leaves every product around it empty, whatever
-    the split.
+    from ``least`` (at least 1) up when it is not None.  Sums and products
+    keep sets of this form.  Constants count as inhabited; one that is not
+    (an allcons constant clipped away) leaves every product around it empty,
+    whatever the split.
     """
     match f:
         case RSRec():
@@ -357,11 +359,17 @@ def _size_splits(l: RecShape, r: RecShape, budget: int) -> list[tuple[int, int]]
     incomparable, so pairs drawn from antichains at distinct splits are too.
     """
     left, right = _shape_sizes(l), _shape_sizes(r)
+    (zl, ml), (zr, mr) = left, right
     for total in range(budget, -1, -1):
-        splits = [(bl, total - bl) for bl in range(total + 1)
-                  if _has_size(left, bl) and _has_size(right, total - bl)]
-        if splits:
-            return splits
+        # ascending bl: left sizes that leave at least mr to the right, then
+        # the whole total when the right side can be empty
+        bls = [0] if zl and mr is not None and total >= mr else []
+        if ml is not None and mr is not None:
+            bls.extend(range(ml, total - mr + 1))
+        if zr and _has_size(left, total):
+            bls.append(total)
+        if bls:
+            return [(bl, total - bl) for bl in bls]
     return []
 
 
@@ -419,7 +427,7 @@ class SizeHeightModel(Model):
 
     def _enumerate_max(self, f: RecShape, budget: int) -> list[SemValue]:
         """Maximal z with size_F(z) <= budget: an antichain by construction,
-        in the canonical order of ``antichain``.
+        in the order the products build it.
         """
         match f:
             case RSRec():
@@ -433,9 +441,9 @@ class SizeHeightModel(Model):
                 # height: a product of antichains is one; size: see _size_splits
                 splits = ([(budget, budget)] if self.mode == "height"
                           else _size_splits(l, r, budget))
-                return sorted((SPair(a, b) for bl, br in splits
-                               for a in self._enumerate_max(l, bl)
-                               for b in self._enumerate_max(r, br)), key=str)
+                return [SPair(a, b) for bl, br in splits
+                        for a in self._enumerate_max(l, bl)
+                        for b in self._enumerate_max(r, br)]
             case RSArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow shape functors are not supported under size abstraction"
@@ -662,7 +670,9 @@ class AllConsModel(Model):
 
     def _enumerate_max(self, f: RecShape, delta: RInd, phi: SizeMap,
                        budget: int) -> list[SemValue]:
-        """Maximal z with cons-counts within phi and main count <= budget."""
+        """Maximal z with cons-counts within phi and main count <= budget,
+        in the order the products build it.
+        """
         match f:
             case RSRec():
                 if budget < 1:
@@ -678,9 +688,9 @@ class AllConsModel(Model):
                                tuple(self._enumerate_max(r, delta, phi, budget)))]
             case RSProd(l, r):
                 # an antichain by construction, as in the size model
-                return sorted((SPair(a, b) for bl, br in _size_splits(l, r, budget)
-                               for a in self._enumerate_max(l, delta, phi, bl)
-                               for b in self._enumerate_max(r, delta, phi, br)), key=str)
+                return [SPair(a, b) for bl, br in _size_splits(l, r, budget)
+                        for a in self._enumerate_max(l, delta, phi, bl)
+                        for b in self._enumerate_max(r, delta, phi, br)]
             case RSArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow shape functors are not supported under size abstraction"
@@ -997,7 +1007,7 @@ def _compile(model: Model, e: RecExpr, elab: RecElab) -> Denotation:
                 d, r, scrut, vals = delta(env), result_ty(env), fs(env), env.vals
                 # the node itself keys its tables: it stays alive with them
                 key = (e, frozenset(env.tyvars.items()),
-                       tuple((n, vals[n]) for n in free if n in vals))
+                       tuple((n, canonical(vals[n])) for n in free if n in vals))
                 return fold(d, r, lambda v: fb(env.with_val(x, v)), scrut, cache_key=key)
             return run
         case RLet(x, a, b):

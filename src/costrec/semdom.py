@@ -322,12 +322,12 @@ def _gens_leq(xs: tuple, ys: tuple) -> bool:
 
 def antichain(items: Iterable[SemValue]) -> tuple:
     """Prune dominated generators, keeping the maximal ones (first of any
-    equal pair wins, so the result is canonical up to order).
+    equal pair wins) sorted by their printed form.  Generators whose ideals
+    are canonical (see ``canonical``) give the canonical antichain.
 
-    Generators containing functions (which arise transiently when a fold
-    maps its recursive results into an unfolded sum before the step consumes
-    them) are kept unpruned: the order on functions is not decidable, and an
-    unpruned generator set denotes the same ideal.
+    Generators containing functions are kept unpruned: the order on
+    functions is not decidable, and an unpruned generator set denotes the
+    same ideal.
     """
     items = tuple(items)
     if len(items) < 2 or not all(is_function_free(x) for x in items):
@@ -341,6 +341,28 @@ def antichain(items: Iterable[SemValue]) -> tuple:
         out = [y for y in out if not sem_leq(y, x)]
         out.append(x)
     return tuple(sorted(out, key=str))
+
+
+def canonical(v: SemValue) -> SemValue:
+    """``v`` with every ideal inside its pairs and ideals pruned to the
+    antichain of its maximal generators, in ``antichain``'s order.  Values
+    that denote the same ideals get the same canonical form, so it is taken
+    where a value is stored, keyed or printed; everywhere else dominated
+    generators are harmless.  Returns ``v`` itself when it is canonical.
+    """
+    match v:
+        case SPair(l, r):
+            cl, cr = canonical(l), canonical(r)
+            return v if cl is l and cr is r else SPair(cl, cr)
+        case SIdeal(l, r):
+            cl, cr = _canonical_gens(l), _canonical_gens(r)
+            return v if cl is l and cr is r else SIdeal(cl, cr)
+    return v
+
+
+def _canonical_gens(gens: tuple) -> tuple:
+    out = antichain(canonical(g) for g in gens)
+    return gens if out == gens else out
 
 
 def ideal_inj(index: int, v: SemValue) -> SIdeal:

@@ -1,0 +1,145 @@
+"""Golden outputs of the CLI on the corpus, and the script that rewrites them.
+
+``analyze.json`` holds the exact standard output and exit code of
+``costrec analyze ... --json`` for each query in ``ANALYZE``;
+``verify_sha256.json`` holds the SHA-256 digest of ``costrec verify FILE
+--fn FN --trials 40 --seed 3 --json`` for each function in ``VERIFY``, run
+from the corpus directory as the file name is part of the report.  Every
+command runs in-process through ``costrec.cli.main``.
+
+To rewrite both files and print a diff against the committed ones, run
+
+    python tests/golden/regen.py
+
+A change that should keep the output byte-identical must leave the diff
+empty.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+CORPUS_DIR = ROOT / "src" / "costrec" / "corpus"
+ANALYZE_FILE = HERE / "analyze.json"
+VERIFY_FILE = HERE / "verify_sha256.json"
+
+# (file, function, model, rungs): every rung of the analyze-ladder
+# benchmark; revgo's accumulator and plus's addend are fixed at half the
+# rung, and mem searches for an unknown key
+LADDER = (
+    ("copy.src", "copy", "size", (8, 16, 32)),
+    ("copy.src", "copy", "height", (16, 32, 64)),
+    ("copy.src", "copy", "allcons", (8, 12, 16)),
+    ("rev.src", "rev", "merged", (4, 8, 10)),
+    ("rev.src", "revgo", "merged", (4, 8, 10)),
+    ("rev.src", "rev", "size", (4, 8, 10)),
+    ("rev.src", "revgo", "size", (4, 8, 10)),
+    ("mem.src", "mem", "height", (8, 16, 32)),
+    ("plus.src", "plus", "size", (16, 32, 64)),
+    ("map.src", "map_constf", "size", (16, 32, 64)),
+    ("fusion.src", "map_composed", "lower", (16, 32, 64)),
+)
+
+
+def _ladder_at(fn: str, n: int) -> str:
+    if fn in ("revgo", "plus"):
+        return f"{n};{n // 2}"
+    if fn == "mem":
+        return f"{n};inf"
+    return str(n)
+
+
+# (file, function, model, --at)
+ANALYZE = tuple(
+    (file, fn, model, _ladder_at(fn, n))
+    for file, fn, model, rungs in LADDER for n in rungs
+) + (
+    # the deep inputs of test_cli_analyze_deep_inputs_complete
+    ("copy.src", "copy", "height", "90"),
+    ("rev.src", "rev", "size", "100"),
+    ("plus.src", "plus", "size", "160;160"),
+    ("copy.src", "copy", "height", "1000"),
+    ("mem.src", "mem", "height", "1000;inf"),
+    ("rev.src", "rev", "merged", "256"),
+    # wide fold tables
+    ("copy.src", "copy", "size", "150"),
+    ("copy.src", "copy", "allcons", "40"),
+    ("mem.src", "mem", "height", "40;inf"),
+    ("rev.src", "rev", "merged", "64"),
+)
+
+# (file, function): the ten corpus functions
+VERIFY = (
+    ("copy.src", "copy"), ("copynat.src", "copynat"),
+    ("fusion.src", "map_fused"), ("fusion.src", "map_composed"),
+    ("map.src", "map_constf"), ("mem.src", "mem"), ("plus.src", "plus"),
+    ("rev.src", "rev"), ("sumtree.src", "sumtree"), ("tail.src", "tail"),
+)
+VERIFY_ARGS = ("--trials", "40", "--seed", "3", "--json")
+
+
+def query_id(file: str, fn: str, model: str, at: str) -> str:
+    return f"{file} {fn} {model} {at}"
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """The exit code and standard output of ``costrec ARGV``, in-process."""
+    from costrec.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def analyze_output(file: str, fn: str, model: str, at: str) -> dict:
+    code, out = run_cli(["analyze", str(CORPUS_DIR / file), "--model", model,
+                         "--fn", fn, "--at", at, "--json"])
+    return {"code": code, "stdout": out}
+
+
+def verify_digest(file: str, fn: str) -> dict:
+    cwd = os.getcwd()
+    os.chdir(CORPUS_DIR)
+    try:
+        code, out = run_cli(["verify", file, "--fn", fn, *VERIFY_ARGS])
+    finally:
+        os.chdir(cwd)
+    return {"code": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+def generate() -> dict[Path, str]:
+    analyze = {query_id(*q): analyze_output(*q) for q in ANALYZE}
+    verify = {fn: verify_digest(file, fn) for file, fn in VERIFY}
+    return {
+        ANALYZE_FILE: json.dumps(analyze, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        VERIFY_FILE: json.dumps(verify, indent=2, sort_keys=True) + "\n",
+    }
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    changed = False
+    for path, text in generate().items():
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        diff = list(difflib.unified_diff(old.splitlines(keepends=True),
+                                         text.splitlines(keepends=True),
+                                         str(path.relative_to(ROOT)), "regenerated"))
+        sys.stdout.writelines(diff)
+        changed = changed or bool(diff)
+        path.write_text(text, encoding="utf-8")
+    print("golden files changed" if changed else "golden files unchanged")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_FILES, corpus_extracted, corpus_text
+from costrec import extract, rec_lang
 from costrec.cost_eval import eval_expr
 from costrec.extract import (
     add_cost, complexity_type, extract_expr, extract_program, potential_type,
@@ -257,3 +258,38 @@ def test_extracted_terms_are_closed(name):
     for bname, binding in corpus_extracted(name).bindings.items():
         assert not rec_free_vars(binding.complexity), bname
         assert not rec_free_vars(binding.potential), bname
+
+
+def _free_var_calls_per_binding(monkeypatch, n, chained):
+    """rec_free_vars calls (with their recursive calls) per top-level binding
+    while extracting n one-lambda bindings; chained, each one calls the one
+    before it, so its terms close over all the earlier bindings.
+    """
+    if chained:
+        lines = ["let f0 = fn (x: nat) => cons(x, nil);"] + [
+            f"let f{i} = fn (x: nat) => f{i - 1} x;" for i in range(1, n)]
+    else:
+        lines = [f"let f{i} = fn (x: nat) => cons(x, nil);" for i in range(n)]
+    checked = check_program(parse_program("\n".join(lines)))
+    calls = 0
+    counted = rec_lang.rec_free_vars
+
+    def counting(e):
+        nonlocal calls
+        calls += 1
+        return counted(e)
+
+    monkeypatch.setattr(rec_lang, "rec_free_vars", counting)
+    monkeypatch.setattr(extract, "rec_free_vars", counting)
+    extract_program(checked)
+    monkeypatch.undo()
+    return calls / n
+
+
+@pytest.mark.parametrize("chained,small,large", [(False, 250, 1000), (True, 50, 200)])
+def test_top_level_free_variables_are_found_once_per_binding(
+        monkeypatch, chained, small, large):
+    # each earlier binding's free variables are kept, and closing a term
+    # visits only the bindings it uses
+    per_small = _free_var_calls_per_binding(monkeypatch, small, chained)
+    assert _free_var_calls_per_binding(monkeypatch, large, chained) <= per_small

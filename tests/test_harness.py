@@ -448,6 +448,23 @@ def test_python_dash_m_runs_the_cli():
     assert "rev : forall a. list<a> -> list<a>" in done.stdout
 
 
+def test_cli_closed_stdout_pipe_exits_quietly():
+    # the report (about 105 kB) outgrows the pipe's buffer (64 kB) and the
+    # reader's (8 kB), so the write after the reader closes its end must fail
+    src = str(CORPUS_DIR.parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "costrec", "verify", str(CORPUS_DIR / "rev.src"),
+         "--fn", "revgo", "--trials", "150", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 # Digests of `costrec verify --json` (run from the corpus directory) before
 # the generation memos and cached hashes: faster code must print the same.
 VERIFY_DIGESTS = {

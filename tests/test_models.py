@@ -7,6 +7,7 @@ import gc
 import random
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from conftest import (
     CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted, corpus_text,
     holes,
 )
-from costrec import models
+from costrec import harness, models
 from costrec.cli import _parse_at
 from costrec.extract import extract_program, potential_type
 from costrec.cost_eval import apply_function, eval_expr
@@ -26,7 +27,7 @@ from costrec.models import (
     value_potential,
 )
 from costrec.rec_lang import (
-    RC, RCase, RecElab, RecExpr, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
+    RArrow, RC, RCase, RecElab, RecExpr, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
     RSRec, RSSum, RSum, RUnit, RUnitE, RVar, RZero, ROne, check_rec,
     map_macro_typed, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
     RPlus, RForall, RLet, RTyApp, RTyLam, pretty_rec_type, rec_free_vars,
@@ -34,7 +35,7 @@ from costrec.rec_lang import (
 )
 from costrec.semdom import (
     INF, ONE, ZERO, SemError, SFun, SIdeal, SMap, SNum, SPair, SStar, SizeMap,
-    UnsupportedFeature, XCons, antichain, ext, sem_leq,
+    UnsupportedFeature, XCons, antichain, canonical, ext, is_function_free, sem_leq,
 )
 from costrec.source_ast import (
     EMPTY_ENV, NAT_TYPE, TArrow, TInd, TProd, TSum, TUnit, VCons, VInj, VPair,
@@ -891,6 +892,31 @@ def _pruned_max(leaf, f, budget, height):
     return leaf(f, budget)
 
 
+def _order_free(v):
+    """``v`` with the generators of every ideal in it as a multiset, so
+    values that differ only in the order of generators compare equal.
+    """
+    match v:
+        case SPair(l, r):
+            return ("pair", _order_free(l), _order_free(r))
+        case SIdeal(l, r):
+            return ("ideal", _multiset(l), _multiset(r))
+    return v
+
+
+def _multiset(vs):
+    return frozenset(Counter(_order_free(v) for v in vs).items())
+
+
+def _assert_same_antichain(zs, pruned, budget):
+    got = _multiset(zs)
+    # the same elements as the slow way, with the same generators in every
+    # ideal inside them
+    assert got == _multiset(pruned), budget
+    assert all(k == 1 for _, k in got), (budget, zs)  # no duplicates
+    assert len(antichain(zs)) == len(zs), (budget, zs)  # pairwise incomparable
+
+
 @pytest.mark.parametrize("label", sorted(DATATYPES))
 @pytest.mark.parametrize("mode", ["size", "height"])
 def test_size_enumeration_is_an_antichain_by_construction(label, mode):
@@ -898,8 +924,8 @@ def test_size_enumeration_is_an_antichain_by_construction(label, mode):
     f = DATATYPES[label].functor
     for budget in range(17):
         zs = m._enumerate_max(f, budget)
-        assert tuple(zs) == antichain(zs), (budget, zs)
-        assert zs == _pruned_max(m._enumerate_max, f, budget, mode == "height"), budget
+        _assert_same_antichain(
+            zs, _pruned_max(m._enumerate_max, f, budget, mode == "height"), budget)
 
 
 @pytest.mark.parametrize("label", sorted(DATATYPES))
@@ -914,8 +940,7 @@ def test_allcons_enumeration_is_an_antichain_by_construction(label, other):
 
     for budget in range(17):
         zs = leaf(delta.functor, budget)
-        assert tuple(zs) == antichain(zs), (budget, zs)
-        assert zs == _pruned_max(leaf, delta.functor, budget, False), budget
+        _assert_same_antichain(zs, _pruned_max(leaf, delta.functor, budget, False), budget)
 
 
 @pytest.mark.parametrize("label", sorted(DATATYPES))
@@ -956,6 +981,131 @@ def test_fold_table_is_filled_once_per_cache_key():
     assert len(calls) == 50
     assert m.fold(NAT, RC(), step, size(60), cache_key="k") == cost(59)
     assert len(calls) == 60
+
+
+TREE_UNFOLDED = subst_rec_shape(TREE_NAT.functor, TREE_NAT)
+
+
+def _unsorted_ideal():
+    # the maximal decompositions of a size-13 tree come in the order the
+    # products build them, not in the printed order antichain sorts by
+    v = SizeHeightModel("size").dest(TREE_NAT, size(13))
+    assert canonical(v) != v
+    return v
+
+
+def test_fold_table_entries_are_stored_canonical():
+    m = SizeHeightModel("size")
+    v = _unsorted_ideal()
+    assert m.fold(NAT, TREE_UNFOLDED, lambda z: v, size(3), cache_key="k") == canonical(v)
+    for entry in m._fold_cache["k"][None].values():
+        assert entry == canonical(v) and canonical(entry) is entry
+
+
+def test_fold_tables_are_keyed_by_canonical_free_values():
+    # fold n with z => y: values of y that denote one ideal share one table
+    term = RFold(NAT, RVar("n"), "z", subst_rec_shape(NAT.functor, TREE_UNFOLDED), RVar("y"))
+    elab = RecElab()
+    check_rec({"n": NAT, "y": TREE_UNFOLDED}, term, elab)
+    m = SizeHeightModel("size")
+    v = _unsorted_ideal()
+    for y in (v, canonical(v)):
+        assert denote(m, SemEnv(vals={"n": size(3), "y": y}), term, elab) == canonical(v)
+    assert len(m._fold_cache) == 1
+
+
+def test_apply_bound_returns_a_canonical_potential():
+    v = _unsorted_ideal()
+    pot = SFun(lambda a: SPair(cost(1), v))
+    assert apply_bound(SizeHeightModel("size"), ext(0), pot, [size(1)]) == (ext(1), canonical(v))
+
+
+class _PruningImages:
+    """The fold with pruning on its hot path: every ideal ``map_shape``
+    builds is pruned and the maximal decompositions come sorted.
+    """
+
+    def map_shape(self, f, g, x):
+        out = super().map_shape(f, g, x)
+        if isinstance(f, RSSum):
+            return SIdeal(antichain(out.left), antichain(out.right))
+        return out
+
+    def _enumerate_max(self, *args):
+        return sorted(super()._enumerate_max(*args), key=str)
+
+
+def _pruning_model(name):
+    cls = type(make_model(name))
+    sub = type(f"Pruning{cls.__name__}", (_PruningImages, cls), {})
+    return sub(name) if name in ("size", "height") else sub()
+
+
+def _filled_tables(monkeypatch, model, file, fn):
+    """The fold tables ``model`` fills applying fn's bound at every argument
+    count up to 16 (top at arguments that are not inductive), in the order
+    it made them.
+    """
+    monkeypatch.setattr(harness, "make_model", lambda name: model)
+    p = prepare(corpus_checked(file), fn, (model.name,), corpus_extracted(file))
+    _, base, pot = p.denoted[model.name]
+    for n in range(1, 17):
+        pots = [_parse_at(str(n) if isinstance(potential_type(t), RInd) else "inf",
+                          model, t, p.checked.program) for t in p.arg_types]
+        apply_bound(model, base, pot, pots)
+    return list(model._fold_cache.items())
+
+
+def _probes(model, ty):
+    if isinstance(ty, RInd):
+        counts = [SNum("size", ext(k)) for k in (1, 2, 5, None)]
+        if model.name in ("allcons", "merged"):
+            return [galois_conc(ty, c) for c in counts]
+        return counts
+    return [model.bottom(ty), model.top(ty)]
+
+
+def _same_after_canonical(model, a, b, ty):
+    """a and b are equal after ``canonical``; functions are compared on
+    probe arguments.
+    """
+    match ty:
+        case RArrow(d, c):
+            return all(_same_after_canonical(model, a(p), b(p), c)
+                       for p in _probes(model, d))
+        case RProd(l, r):
+            return (_same_after_canonical(model, a.left, b.left, l)
+                    and _same_after_canonical(model, a.right, b.right, r))
+    return canonical(a) == canonical(b)
+
+
+def _key_shape(key):
+    # functions in the step's free variables are compared by identity
+    fold, tyvars, free = key
+    return fold, tyvars, tuple((n, v if is_function_free(v) else "<fun>") for n, v in free)
+
+
+@pytest.mark.parametrize("file,fn", [(f, fn) for f, fns in CORPUS_FUNCTIONS.items()
+                                     for fn in fns])
+@pytest.mark.parametrize("model_name", ["size", "height", "allcons", "merged", "lower"])
+def test_fold_tables_match_the_tables_pruned_per_image(monkeypatch, file, fn, model_name):
+    new = _filled_tables(monkeypatch, make_model(model_name), file, fn)
+    old = _filled_tables(monkeypatch, _pruning_model(model_name), file, fn)
+    assert [_key_shape(k) for k, _ in new] == [_key_shape(k) for k, _ in old]
+    binding = corpus_extracted(file).bindings[fn]
+    term = binding.potential if corpus_checked(file).schemes[fn].bound else binding.complexity
+    elab = RecElab()
+    check_rec({}, term, elab)
+    model = make_model(model_name)
+    for (key, tables), (_, old_tables) in zip(new, old):
+        ty = subst_rtyvars(elab.type_of(key[0]), dict(key[1]))
+        assert tables.keys() == old_tables.keys()
+        for fixed, table in tables.items():
+            assert table.keys() == old_tables[fixed].keys()
+            for i, entry in table.items():
+                assert canonical(entry) is entry
+                assert _same_after_canonical(model, entry, old_tables[fixed][i], ty), (
+                    pretty_rec_type(ty), fixed, i)
 
 
 # ---------------------------------------------------------------------------

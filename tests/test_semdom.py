@@ -5,7 +5,7 @@ import costrec.semdom as semdom
 
 from costrec.semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SStar, SemError,
-    SizeMap, antichain, ext, ideal_join, ideal_meet, is_function_free,
+    SizeMap, antichain, canonical, ext, ideal_join, ideal_meet, is_function_free,
     sem_join_vals, sem_leq, sem_meet_vals,
 )
 from costrec.rec_lang import RInd, RSConst, RSRec, RSSum, RUnit
@@ -118,6 +118,26 @@ def test_antichain_canonicity(pairs):
         for j, y in enumerate(gens):
             if i != j:
                 assert not sem_leq(x, y)
+
+
+def test_canonical_prunes_every_ideal_inside_a_value():
+    inner = SIdeal((size(1), size(3), size(2)), ())
+    v = SPair(cost(4), SIdeal((SPair(inner, size(5)), SPair(inner, size(2))), (SStar(),)))
+    pruned = SIdeal((SPair(SIdeal((size(3),), ()), size(5)),), (SStar(),))
+    assert canonical(v) == SPair(cost(4), pruned)
+    assert canonical(canonical(v)) == canonical(v)
+    # canonical values, and values with no ideal in them, come back as they are
+    for w in (canonical(v), pruned, SPair(cost(1), size(2)), SFun(lambda z: z)):
+        assert canonical(w) is w
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=0, max_size=6))
+def test_canonical_form_depends_only_on_the_ideal(pairs):
+    gens = [SPair(size(a), size(b)) for a, b in pairs]
+    a = SIdeal(tuple(gens), ())
+    b = SIdeal(tuple(reversed(gens)) + tuple(gens), ())
+    assert canonical(a) == canonical(b) == SIdeal(antichain(gens), ())
 
 
 def test_join_of_ideals_prunes_dominated_generators():
