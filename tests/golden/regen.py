@@ -75,6 +75,11 @@ ANALYZE = tuple(
     ("copy.src", "copy", "allcons", "40"),
     ("mem.src", "mem", "height", "40;inf"),
     ("rev.src", "rev", "merged", "64"),
+    # the lower model's minimal decompositions on trees, and its dest
+    ("copy.src", "copy", "lower", "20"),
+    ("copy.src", "copy", "lower", "40"),
+    ("sumtree.src", "sumtree", "lower", "24"),
+    ("tail.src", "tail", "lower", "40"),
 )
 
 # (file, function): the ten corpus functions
