@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .source_ast import (
     App, Case, Cons, Delay, Dest, Fold, Force, FRec, Inj, Lam, Let, MapE,
-    MapV, Pair, Proj, ShapeFunctor, SrcExpr, Unit, Value, ValueEnv, Var,
-    VCons, VDelayClo, VInj, VLamClo, VPair, VUnit, VVar, FArrow, FConst,
+    Pair, Proj, ShapeFunctor, SrcExpr, Unit, Value, ValueEnv, Var,
+    VCons, VDelayClo, VInj, VLamClo, VPair, VUnit, FArrow, FConst,
     FProd, FSum, Program, EMPTY_ENV, gensym, pretty,
 )
 
@@ -134,8 +134,6 @@ def _eval(env: ValueEnv, e: SrcExpr, budget: _Budget) -> tuple[Value, int]:
         case MapE(functor, y, fn_value, arg):
             v_arg, n = _eval(env, arg, budget)
             return mapv_eval(functor, y, fn_value, v_arg, budget), n
-        case MapV(functor, y, fn_value, arg_value):
-            return mapv_eval(functor, y, fn_value, arg_value, budget), 0
     raise EvalError(f"cannot evaluate {e!r}")
 
 
@@ -176,12 +174,10 @@ def mapv_eval(functor: ShapeFunctor, binder: str, fn_value: Value, v: Value,
 
 def subst_value(target: Value, v: Value, y: str) -> Value:
     """Substitute ``v`` for the identifier ``y`` inside the value ``target``.
-    Substitution stops at closures, which simply bind ``y`` in their
-    environment.
+    Values hold no variables, so this binds ``y`` in the environment of
+    every closure inside ``target``.
     """
     match target:
-        case VVar(name):
-            return v if name == y else target
         case VUnit():
             return target
         case VPair(l, r):

@@ -258,7 +258,7 @@ def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
             binds.append((x2, pot))
             ebody = _extract(body, elab, {**ren, x: x2}, binds)
             return RPair(_plus(eb.left, ebody.left), ebody.right)
-        case S.MapE() | S.MapV():
+        case S.MapE():
             raise ExtractError("extraction is defined only for the core language")
     raise ExtractError(f"not an expression: {e!r}")
 

@@ -19,12 +19,16 @@ Six models ship:
                 and folds take meets over decompositions, yielding lower
                 bounds.
 
-Folds in the abstract models follow the least-upper-bound recipe: the value
-at ``x`` is the join of the step function over the maximal decompositions
-``z`` with ``cons z <= x`` (meet over minimal decompositions with
-``cons z >= x`` in the lower model).  Only polynomial shape functors (sums,
-products, constants, the recursion variable) are enumerable; arrow shapes
-raise ``UnsupportedFeature`` except in the exact model.
+The five abstract models share one ``dest`` and one ``fold``, both on
+``Model``, after the least-upper-bound recipe: the value at ``x`` is the join
+of the step function over the maximal decompositions ``z`` with
+``cons z <= x`` (the meet over the decompositions with ``cons z >= x`` in the
+lower model).  A model supplies only how to read a value's main count and
+the size-map entries its decompositions keep, the leaves of a decomposition
+(the value at a recursive position, and ``_clip_top`` at a constant), its
+product splits and its ``_decompose``.  Only polynomial shape functors
+(sums, products, constants, the recursion variable) are enumerable; arrow
+shapes raise ``UnsupportedFeature`` except in the exact model.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .rec_lang import (
 from .semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SPoly, SStar,
     SemError, SemValue, SizeMap, UnsupportedFeature, XCons, XInj, antichain,
-    canonical, ideal_case, sem_join_vals, sem_leq, sem_meet_vals,
+    canonical, ideal_case, ideal_inj, sem_join_vals, sem_meet_vals,
 )
 
 
@@ -187,7 +191,7 @@ class Model:
             case RProd(l, r):
                 return SPair(self.top(l), self.top(r))
             case RSum(l, r):
-                return SIdeal(antichain([self.top(l)]), antichain([self.top(r)]))
+                return SIdeal((self.top(l),), (self.top(r),))
             case RArrow(_, c):
                 return SFun(lambda _a, t=c: self.top(t))
             case RInd(_, _):
@@ -209,9 +213,7 @@ class Model:
     # -- structural operators --------------------------------------------------
 
     def inj(self, index: int, v: SemValue, sum_ty: RecType) -> SemValue:
-        if index == 0:
-            return SIdeal(antichain([v]), ())
-        return SIdeal((), antichain([v]))
+        return ideal_inj(index, v)
 
     def case(self, scrut: SemValue, f0, f1, result_ty: RecType) -> SemValue:
         if not isinstance(scrut, SIdeal):
@@ -229,13 +231,6 @@ class Model:
     def cons(self, delta: RInd, z: SemValue) -> SemValue:
         raise NotImplementedError
 
-    def dest(self, delta: RInd, x: SemValue) -> SemValue:
-        raise NotImplementedError
-
-    def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
-             cache_key=None) -> SemValue:
-        raise NotImplementedError
-
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
         """The canonical potential of a source value of inductive type ty
         (see ``value_potential``): what replaying ``cons`` at each of its
@@ -243,38 +238,119 @@ class Model:
         """
         raise NotImplementedError
 
+    # -- what an abstract model supplies to dest and fold ------------------------
+
+    def _main_count(self, delta: RInd, x: SemValue) -> ExtNat:
+        """The main constructor count of ``x``, a value of type ``delta``."""
+        raise NotImplementedError
+
+    def _kept(self, delta: RInd, x: SemValue):
+        """The size-map entries that every decomposition of ``x`` keeps at
+        its recursive positions and constants: None, or a ``SizeMap``.
+        """
+        return None
+
+    def _rec_leaf(self, delta: RInd, kept, budget: int) -> SemValue:
+        """The greatest value at a recursive position of main count ``budget``."""
+        raise NotImplementedError
+
+    def _clip_top(self, ty: RecType, kept) -> Optional[SemValue]:
+        """The greatest value of constant type ``ty``; None when none fits."""
+        raise NotImplementedError
+
+    def _splits(self, l: RecShape, r: RecShape, budget: int) -> list[tuple[int, int]]:
+        """The budgets of the two sides of a product's maximal pairs."""
+        return _size_splits(l, r, budget)
+
+    def _decompose(self, delta: RInd, kept, n: int) -> Optional[list[SemValue]]:
+        """The decompositions at main count ``n`` that the join (the meet in
+        the lower model) ranges over; None when that is the bottom.
+        """
+        return self._enumerate_max(delta.functor, delta, kept, n - 1)
+
+    # -- dest and fold -----------------------------------------------------------
+
+    def _enumerate_max(self, f: RecShape, delta: RInd, kept,
+                       budget: int) -> list[SemValue]:
+        """Maximal z of shape ``f`` with main count at most ``budget`` and
+        their other counts within ``kept``: an antichain by construction (see
+        ``_size_splits``), in the order the products build it.
+        """
+        match f:
+            case RSRec():
+                return [self._rec_leaf(delta, kept, budget)] if budget >= 1 else []
+            case RSConst(t):
+                v = self._clip_top(t, kept)
+                return [v] if v is not None else []
+            case RSSum(l, r):
+                return [SIdeal(tuple(self._enumerate_max(l, delta, kept, budget)),
+                               tuple(self._enumerate_max(r, delta, kept, budget)))]
+            case RSProd(l, r):
+                return [SPair(a, b) for bl, br in self._splits(l, r, budget)
+                        for a in self._enumerate_max(l, delta, kept, bl)
+                        for b in self._enumerate_max(r, delta, kept, br)]
+            case RSArrow(_, _):
+                raise UnsupportedFeature(
+                    "arrow shape functors are not supported under size abstraction"
+                )
+        raise ModelError(f"not a shape functor: {f!r}")
+
+    def _unbounded(self, ty: RecType) -> SemValue:
+        # the value at main count inf
+        return self.bottom(ty) if self.direction == "lower" else self.top(ty)
+
+    def _combine(self, delta: RInd, kept, n: int, ty: RecType, image) -> SemValue:
+        """The join (the meet in the lower model) at type ``ty`` of
+        ``image(z)`` over the decompositions ``z`` at main count ``n``.
+        """
+        zs = self._decompose(delta, kept, n)
+        if zs is None:
+            return self.bottom(ty)
+        combine = self.meet if self.direction == "lower" else self.join
+        return combine([image(z) for z in zs], ty)
+
+    def dest(self, delta: RInd, x: SemValue) -> SemValue:
+        unfold_ty = subst_rec_shape(delta.functor, delta)
+        n = self._main_count(delta, x)
+        if n.is_inf:
+            return self._unbounded(unfold_ty)
+        return self._combine(delta, self._kept(delta, x), n.value, unfold_ty, lambda z: z)
+
+    def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
+             cache_key=None) -> SemValue:
+        return self._tabulated_fold(delta, result_ty, step, self._main_count(delta, x),
+                                    self._kept(delta, x), cache_key)
+
     def _tabulated_fold(self, delta: RInd, result_ty: RecType, step, n: ExtNat,
-                        cache_key, decompose, count, fixed=None) -> SemValue:
-        """The abstract fold at main constructor count ``n``: the join (the
-        meet in the lower model) of the step over ``decompose(i)``, the
-        decompositions at main count ``i``, or the bottom where that is None.
+                        kept, cache_key) -> SemValue:
+        """The abstract fold at main count ``n``: the step combined over the
+        decompositions at ``n`` (see ``_combine``).
 
         A decomposition's recursive positions have main counts from 1 to
-        ``i - 1`` (``count`` reads one), so the table of results fills
-        bottom-up and a large ``n`` never deepens the Python stack.  Tables
-        live in ``_fold_cache[cache_key]``, one per ``fixed``: the size-map
-        entries other than the main count, which recursive positions inherit.
+        ``n - 1``, so the table of results fills bottom-up and a large ``n``
+        never deepens the Python stack; a recursive position reads its entry
+        by its main count alone.  Tables live in ``_fold_cache[cache_key]``,
+        one per ``kept``.
 
-        Decompositions and their images are neither pruned nor sorted, as
-        dominated generators denote the same ideals; each entry is stored
-        ``canonical``.
+        Decompositions and their images are neither pruned nor sorted: the
+        step is monotone, so a dominated decomposition changes neither the
+        join nor the meet.  Each entry is stored ``canonical``.
         """
         if not shape_is_polynomial(delta.functor):
             raise UnsupportedFeature("fold over a non-polynomial shape functor")
-        lower = self.direction == "lower"
         if n.is_inf:
-            return self.bottom(result_ty) if lower else self.top(result_ty)
+            return self._unbounded(result_ty)
         tables = self._fold_cache.setdefault(cache_key, {}) if cache_key else {}
-        table = tables.setdefault(fixed, {})
+        table = tables.setdefault(kept, {})
         if n.value not in table:
-            combine = self.meet if lower else self.join
-            rec = SFun(lambda m: table[count(m)])
+            rec = SFun(lambda m: table[self._main_count(delta, m).value])
+
+            def image(z):
+                return step(self.map_shape(delta.functor, rec, z))
+
             for i in range(min(n.value, 1), n.value + 1):
-                if i in table:
-                    continue
-                zs = decompose(i)
-                table[i] = self.bottom(result_ty) if zs is None else canonical(combine(
-                    [step(self.map_shape(delta.functor, rec, z)) for z in zs], result_ty))
+                if i not in table:
+                    table[i] = canonical(self._combine(delta, kept, i, result_ty, image))
         return table[n.value]
 
     # -- polymorphism -----------------------------------------------------------
@@ -303,8 +379,10 @@ class Model:
                     raise ModelError("product shape expects a pair")
                 return SPair(self.map_shape(l, g, x.left), self.map_shape(r, g, x.right))
             case RSSum(l, r):
+                if isinstance(x, XInj):  # the exact model
+                    return XInj(x.index, self.map_shape(l if x.index == 0 else r, g, x.arg))
                 if not isinstance(x, SIdeal):
-                    raise ModelError("sum shape expects an ideal")
+                    raise ModelError("sum shape expects an ideal or an injection")
                 return SIdeal(tuple(self.map_shape(l, g, v) for v in x.left),
                               tuple(self.map_shape(r, g, v) for v in x.right))
             case RSArrow(_, b):
@@ -425,56 +503,26 @@ class SizeHeightModel(Model):
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
         return SNum("size", ExtNat(_main_constructors(v, ty, self.mode == "height")))
 
-    def _enumerate_max(self, f: RecShape, budget: int) -> list[SemValue]:
-        """Maximal z with size_F(z) <= budget: an antichain by construction,
-        in the order the products build it.
-        """
-        match f:
-            case RSRec():
-                return [SNum("size", ExtNat(budget))] if budget >= 1 else []
-            case RSConst(t):
-                return [self.top(t)]
-            case RSSum(l, r):
-                return [SIdeal(tuple(self._enumerate_max(l, budget)),
-                               tuple(self._enumerate_max(r, budget)))]
-            case RSProd(l, r):
-                # height: a product of antichains is one; size: see _size_splits
-                splits = ([(budget, budget)] if self.mode == "height"
-                          else _size_splits(l, r, budget))
-                return [SPair(a, b) for bl, br in splits
-                        for a in self._enumerate_max(l, bl)
-                        for b in self._enumerate_max(r, br)]
-            case RSArrow(_, _):
-                raise UnsupportedFeature(
-                    "arrow shape functors are not supported under size abstraction"
-                )
-        raise ModelError(f"not a shape functor: {f!r}")
-
-    def dest(self, delta: RInd, x: SemValue) -> SemValue:
+    def _main_count(self, delta: RInd, x: SemValue) -> ExtNat:
         if not isinstance(x, SNum):
-            raise ModelError("destructing a non-size")
-        unfold_ty = subst_rec_shape(delta.functor, delta)
-        if x.num.is_inf:
-            return self.top(unfold_ty)
-        zs = self._enumerate_max(delta.functor, x.num.value - 1)
-        return self.join(zs, unfold_ty)
+            raise ModelError("expected a size")
+        return x.num
 
-    def _decompose(self, f: RecShape, n: int) -> Optional[list[SemValue]]:
-        return self._enumerate_max(f, n - 1)
+    def _rec_leaf(self, delta: RInd, kept, budget: int) -> SemValue:
+        return SNum("size", ExtNat(budget))
 
-    def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
-             cache_key=None) -> SemValue:
-        if not isinstance(x, SNum):
-            raise ModelError("folding a non-size")
-        return self._tabulated_fold(
-            delta, result_ty, step, x.num, cache_key,
-            lambda n: self._decompose(delta.functor, n), lambda m: m.num.value)
+    def _clip_top(self, ty: RecType, kept) -> Optional[SemValue]:
+        return self.top(ty)
+
+    def _splits(self, l: RecShape, r: RecShape, budget: int) -> list[tuple[int, int]]:
+        # height: a product of antichains is one
+        return [(budget, budget)] if self.mode == "height" else _size_splits(l, r, budget)
 
 
 class LowerSizeModel(SizeHeightModel):
     """The dual of the size model: same carriers, cost order reversed.
-    Destructor and fold take meets over minimal decompositions, so every
-    computed cost is a lower bound.
+    Destructor and fold take meets over the decompositions whose size is at
+    least the argument's, so every computed cost is a lower bound.
     """
 
     direction = "lower"
@@ -487,63 +535,36 @@ class LowerSizeModel(SizeHeightModel):
     # the size model; only the datatype operators change.
 
     def _enumerate_min(self, f: RecShape, budget: int) -> list[SemValue]:
-        """Minimal z with size_F(z) >= budget."""
+        """Every z that products build from the minimal leaves with
+        size_F(z) >= budget: the minimal ones among them, and others that
+        lie above one.  A meet over a monotone step ignores the others, so
+        nothing is pruned or sorted.
+        """
         if budget <= 0:
-            return [self.bottom(_shape_value_type(f))]
+            # the bottom of shape f, with a size at recursive positions
+            return [self.bottom(subst_rec_shape(f, RInd(RSRec())))]
         match f:
             case RSRec():
-                return [SNum("size", ExtNat(max(budget, 1)))]
-            case RSConst(t):
+                return [SNum("size", ExtNat(budget))]
+            case RSConst(_):
                 return []  # constants have size 0 < budget
             case RSSum(l, r):
-                out: list[SemValue] = []
-                for g in self._enumerate_min(l, budget):
-                    out.append(SIdeal(antichain([g]), ()))
-                for g in self._enumerate_min(r, budget):
-                    out.append(SIdeal((), antichain([g])))
-                return _min_antichain(out)
+                return ([SIdeal((g,), ()) for g in self._enumerate_min(l, budget)]
+                        + [SIdeal((), (g,)) for g in self._enumerate_min(r, budget)])
             case RSProd(l, r):
-                out = []
-                for bl in range(0, budget + 1):
-                    for a in self._enumerate_min(l, bl):
-                        for b in self._enumerate_min(r, budget - bl):
-                            out.append(SPair(a, b))
-                return _min_antichain(out)
+                return [SPair(a, b) for bl in range(budget + 1)
+                        for a in self._enumerate_min(l, bl)
+                        for b in self._enumerate_min(r, budget - bl)]
             case RSArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow shape functors are not supported under size abstraction"
                 )
         raise ModelError(f"not a shape functor: {f!r}")
 
-    def dest(self, delta: RInd, x: SemValue) -> SemValue:
-        if not isinstance(x, SNum):
-            raise ModelError("destructing a non-size")
-        unfold_ty = subst_rec_shape(delta.functor, delta)
-        if x.num.is_inf:
-            return self.bottom(unfold_ty)
-        zs = self._enumerate_min(delta.functor, x.num.value - 1)
-        return self.meet(zs, unfold_ty)
-
-    def _decompose(self, f: RecShape, n: int) -> Optional[list[SemValue]]:
+    def _decompose(self, delta: RInd, kept, n: int) -> Optional[list[SemValue]]:
         # the empty ideal decomposition qualifies up to main count 1, so the
         # meet there is the bottom of the codomain
-        return None if n <= 1 else self._enumerate_min(f, n - 1)
-
-
-def _shape_value_type(f: RecShape) -> RecType:
-    # the type of values of this shape with a size at recursive positions;
-    # only used to build bottoms, where the recursive position is a size
-    return subst_rec_shape(f, RInd(RSRec()))
-
-
-def _min_antichain(items: list[SemValue]) -> list[SemValue]:
-    out: list[SemValue] = []
-    for x in items:
-        if any(sem_leq(y, x) for y in out):
-            continue
-        out = [y for y in out if not sem_leq(x, y)]
-        out.append(x)
-    return sorted(out, key=str)
+        return None if n <= 1 else self._enumerate_min(delta.functor, n - 1)
 
 
 class AllConsModel(Model):
@@ -637,6 +658,21 @@ class AllConsModel(Model):
 
     # -- decomposition ------------------------------------------------------------
 
+    def _main_count(self, delta: RInd, x: SemValue) -> ExtNat:
+        if not isinstance(x, SMap):
+            raise ModelError("expected a size map")
+        return x.sizemap.get(delta)
+
+    def _kept(self, delta: RInd, x: SemValue) -> SizeMap:
+        # the argument's other entries in the support of delta
+        phi = x.sizemap
+        return SizeMap.of({d: phi.get(d) for d in support_datatypes(delta) if d != delta})
+
+    def _rec_leaf(self, delta: RInd, kept: SizeMap, budget: int) -> SemValue:
+        entries = {d: kept.get(d) for d in support_datatypes(delta)}
+        entries[delta] = ExtNat(budget)
+        return SMap(SizeMap.of(entries))
+
     def _clip_top(self, ty: RecType, phi: SizeMap) -> Optional[SemValue]:
         """The greatest value of a constant type whose constructor counts
         stay within phi; None when no value fits.
@@ -658,67 +694,12 @@ class AllConsModel(Model):
                 return SPair(a, b)
             case RSum(l, r):
                 a, b = self._clip_top(l, phi), self._clip_top(r, phi)
-                return SIdeal(
-                    antichain([a] if a is not None else []),
-                    antichain([b] if b is not None else []),
-                )
+                return SIdeal((a,) if a is not None else (), (b,) if b is not None else ())
             case RArrow(_, _):
                 raise UnsupportedFeature(
                     "arrow types inside datatypes are not supported under size abstraction"
                 )
         raise ModelError(f"cannot clip type {pretty_rec_type(ty)}")
-
-    def _enumerate_max(self, f: RecShape, delta: RInd, phi: SizeMap,
-                       budget: int) -> list[SemValue]:
-        """Maximal z with cons-counts within phi and main count <= budget,
-        in the order the products build it.
-        """
-        match f:
-            case RSRec():
-                if budget < 1:
-                    return []
-                entries = {d: phi.get(d) for d in support_datatypes(delta)}
-                entries[delta] = ExtNat(budget)
-                return [SMap(SizeMap.of(entries))]
-            case RSConst(t):
-                v = self._clip_top(t, phi)
-                return [v] if v is not None else []
-            case RSSum(l, r):
-                return [SIdeal(tuple(self._enumerate_max(l, delta, phi, budget)),
-                               tuple(self._enumerate_max(r, delta, phi, budget)))]
-            case RSProd(l, r):
-                # an antichain by construction, as in the size model
-                return [SPair(a, b) for bl, br in _size_splits(l, r, budget)
-                        for a in self._enumerate_max(l, delta, phi, bl)
-                        for b in self._enumerate_max(r, delta, phi, br)]
-            case RSArrow(_, _):
-                raise UnsupportedFeature(
-                    "arrow shape functors are not supported under size abstraction"
-                )
-        raise ModelError(f"not a shape functor: {f!r}")
-
-    def dest(self, delta: RInd, x: SemValue) -> SemValue:
-        if not isinstance(x, SMap):
-            raise ModelError("destructing a non-size-map")
-        unfold_ty = subst_rec_shape(delta.functor, delta)
-        main = x.sizemap.get(delta)
-        if main.is_inf:
-            return self.top(unfold_ty)
-        zs = self._enumerate_max(delta.functor, delta, x.sizemap, main.value - 1)
-        return self.join(zs, unfold_ty)
-
-    def fold(self, delta: RInd, result_ty: RecType, step, x: SemValue,
-             cache_key=None) -> SemValue:
-        if not isinstance(x, SMap):
-            raise ModelError("folding a non-size-map")
-        phi = x.sizemap
-        # recursive positions carry the argument's other entries in the
-        # support of delta; only the main count varies
-        fixed = SizeMap.of({d: phi.get(d) for d in support_datatypes(delta) if d != delta})
-        return self._tabulated_fold(
-            delta, result_ty, step, phi.get(delta), cache_key,
-            lambda n: self._enumerate_max(delta.functor, delta, fixed, n - 1),
-            lambda m: m.sizemap.get(delta).value, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -858,37 +839,11 @@ class ExactModel(Model):
 
         return go(x)
 
-    def map_shape(self, f: RecShape, g, x: SemValue) -> SemValue:
-        match f:
-            case RSRec():
-                return g(x)
-            case RSConst(_):
-                return x
-            case RSProd(l, r):
-                if not isinstance(x, SPair):
-                    raise ModelError("product shape expects a pair")
-                return SPair(self.map_shape(l, g, x.left), self.map_shape(r, g, x.right))
-            case RSSum(l, r):
-                if not isinstance(x, XInj):
-                    raise ModelError("exact sum shape expects an injection")
-                sub = l if x.index == 0 else r
-                return XInj(x.index, self.map_shape(sub, g, x.arg))
-            case RSArrow(_, b):
-                if not isinstance(x, SFun):
-                    raise ModelError("arrow shape expects a function")
-                return SFun(lambda y, b=b, x=x: self.map_shape(b, g, x(y)))
-        raise ModelError(f"not a shape functor: {f!r}")
-
     def bottom(self, ty: RecType) -> SemValue:
         raise ModelError("the exact model has no lattice structure")
 
     def top(self, ty: RecType) -> SemValue:
         raise ModelError("the exact model has no lattice structure")
-
-    def join(self, vals: list[SemValue], ty: RecType) -> SemValue:
-        if len(vals) != 1:
-            raise ModelError("the exact model only joins singletons")
-        return vals[0]
 
 
 # ---------------------------------------------------------------------------

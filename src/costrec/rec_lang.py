@@ -594,11 +594,12 @@ def _check_node(ctx: dict[str, RecType], e: RecExpr, elab: RecElab) -> RecType:
 # ---------------------------------------------------------------------------
 
 
-def map_macro(f: RecShape, rho: RecType, binder: str, fn_body: RecExpr,
-              arg: RecExpr) -> RecExpr:
-    """``F[rho; y.e', e]``: substitution at the recursion variable, identity
-    at constants, case at sums, pair of projections at products, and
-    eta-wrapping at arrows.
+def map_macro(f: RecShape, rho: RecType, target: RecType, binder: str,
+              fn_body: RecExpr, arg: RecExpr) -> RecExpr:
+    """``F[rho; y.e', e]`` at the target type ``F[target]``: substitution at
+    the recursion variable, identity at constants, case at sums, pair of
+    projections at products, and eta-wrapping at arrows.  The injections at
+    a sum ``F0 + F1`` are annotated ``(F0 + F1)[target]``.
     """
     match f:
         case RSRec():
@@ -607,73 +608,20 @@ def map_macro(f: RecShape, rho: RecType, binder: str, fn_body: RecExpr,
             return arg
         case RSSum(f0, f1):
             x = rec_gensym("x")
-            t0 = subst_rec_shape(f0, rho)
-            t1 = subst_rec_shape(f1, rho)
-            # the result annotation applies the mapped functor to the target
-            # type, which the caller fixes up via check_rec; the sum type of
-            # each injection is F0'[..]+F1'[..] computed from branch results
-            b0 = map_macro(f0, rho, binder, fn_body, RVar(x))
-            b1 = map_macro(f1, rho, binder, fn_body, RVar(x))
-            return _MapSumHole(arg, x, t0, b0, t1, b1)
+            want = subst_rec_shape(f, target)
+            b0 = map_macro(f0, rho, target, binder, fn_body, RVar(x))
+            b1 = map_macro(f1, rho, target, binder, fn_body, RVar(x))
+            return RCase(arg, x, subst_rec_shape(f0, rho), RInj(0, want, b0),
+                         x, subst_rec_shape(f1, rho), RInj(1, want, b1))
         case RSProd(f0, f1):
             return RPair(
-                map_macro(f0, rho, binder, fn_body, RProj(0, arg)),
-                map_macro(f1, rho, binder, fn_body, RProj(1, arg)),
+                map_macro(f0, rho, target, binder, fn_body, RProj(0, arg)),
+                map_macro(f1, rho, target, binder, fn_body, RProj(1, arg)),
             )
         case RSArrow(dom, body):
             x = rec_gensym("x")
-            return RLam(x, dom, map_macro(body, rho, binder, fn_body, RApp(arg, RVar(x))))
+            return RLam(x, dom, map_macro(body, rho, target, binder, fn_body, RApp(arg, RVar(x))))
     raise RecTypeError(f"not a recurrence shape functor: {f!r}")
-
-
-def _MapSumHole(scrut, x, t0, b0, t1, b1):
-    # The injections at sums need the *target* sum type F[sigma']; the macro
-    # does not know sigma', so build the case with injections annotated by a
-    # deferred marker resolved by finish_map_macro.
-    return RCase(scrut, x, t0, RInj(0, _SUM_HOLE, b0), x, t1, RInj(1, _SUM_HOLE, b1))
-
-
-_SUM_HOLE = RTVar("~sum-hole~")
-
-
-def finish_map_macro(e: RecExpr, f: RecShape, target: RecType) -> RecExpr:
-    """Resolve deferred sum annotations in a map_macro result: the injections
-    rebuild values of type F[target].
-    """
-
-    def go(e: RecExpr, f: RecShape) -> RecExpr:
-        match f:
-            case RSRec() | RSConst():
-                return e
-            case RSSum(f0, f1):
-                if isinstance(e, RCase):
-                    want = subst_rec_shape(f, target)
-                    assert isinstance(e.branch0, RInj) and isinstance(e.branch1, RInj)
-                    return RCase(
-                        e.scrutinee,
-                        e.binder0, e.type0, RInj(0, want, go(e.branch0.arg, f0)),
-                        e.binder1, e.type1, RInj(1, want, go(e.branch1.arg, f1)),
-                    )
-                return e
-            case RSProd(f0, f1):
-                if isinstance(e, RPair):
-                    return RPair(go(e.left, f0), go(e.right, f1))
-                return e
-            case RSArrow(_, body):
-                if isinstance(e, RLam):
-                    return RLam(e.binder, e.annotation, go(e.body, body))
-                return e
-        return e
-
-    return go(e, f)
-
-
-def map_macro_typed(f: RecShape, rho: RecType, target: RecType, binder: str,
-                    fn_body: RecExpr, arg: RecExpr) -> RecExpr:
-    """map_macro with the injections at sums annotated for the target type
-    (the form used in the fold beta law tests).
-    """
-    return finish_map_macro(map_macro(f, rho, binder, fn_body, arg), f, target)
 
 
 # ---------------------------------------------------------------------------

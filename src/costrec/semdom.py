@@ -366,9 +366,7 @@ def _canonical_gens(gens: tuple) -> tuple:
 
 
 def ideal_inj(index: int, v: SemValue) -> SIdeal:
-    if index == 0:
-        return SIdeal(antichain([v]), ())
-    return SIdeal((), antichain([v]))
+    return SIdeal((v,), ()) if index == 0 else SIdeal((), (v,))
 
 
 def ideal_join(ideals: Iterable[SIdeal]) -> SIdeal:

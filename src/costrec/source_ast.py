@@ -395,15 +395,6 @@ class MapE(SrcExpr):
     pos: Optional[tuple[int, int]] = _pos_field()
 
 
-@dataclass(frozen=True, eq=False)
-class MapV(SrcExpr):
-    functor: ShapeFunctor
-    binder: str
-    fn_value: "Value"
-    arg_value: "Value"
-    pos: Optional[tuple[int, int]] = _pos_field()
-
-
 # ---------------------------------------------------------------------------
 # Values and value environments
 # ---------------------------------------------------------------------------
@@ -453,11 +444,6 @@ class Value:
 
 
 @dataclass(frozen=True, eq=False)
-class VVar(Value):
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
 class VUnit(Value):
     pass
 
@@ -497,8 +483,6 @@ def value_eq(a: Value, b: Value) -> bool:
     equivalence) and the environments restricted to free variables.
     """
     match (a, b):
-        case (VVar(x), VVar(y)):
-            return x == y
         case (VUnit(), VUnit()):
             return True
         case (VPair(l1, r1), VPair(l2, r2)):
@@ -550,26 +534,11 @@ def free_vars(e: SrcExpr) -> set[str]:
             return free_vars(s) | (free_vars(b) - {x})
         case Let(x, bound, body):
             return free_vars(bound) | (free_vars(body) - {x})
-        case MapE(_, y, v, arg):
-            return (free_vars_value(v) - {y}) | free_vars(arg)
-        case MapV(_, y, v, w):
-            return (free_vars_value(v) - {y}) | free_vars_value(w)
+        case MapE(_, _, _, arg):
+            # a value holds no variables: closures are closed by their
+            # environments
+            return free_vars(arg)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def free_vars_value(v: Value) -> set[str]:
-    match v:
-        case VVar(n):
-            return {n}
-        case VUnit():
-            return set()
-        case VPair(l, r):
-            return free_vars_value(l) | free_vars_value(r)
-        case VInj(_, a) | VCons(_, a):
-            return free_vars_value(a)
-        case VLamClo() | VDelayClo():
-            return set()  # closures are closed by their environments
-    raise TypeError(f"not a value: {v!r}")
 
 
 def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
@@ -1564,8 +1533,6 @@ def _pexpr(e: SrcExpr, prec: int, ren: Optional[_Renamer] = None,
             return f"({s})" if prec > 0 else s
         case MapE(f, y, v, arg):
             return f"<map {{{_pfunctor(f)}}} ({y}. {_pvalue(v)}) {_pexpr(arg, 1, ren, env)}>"
-        case MapV(f, y, v, w):
-            return f"<mapv {{{_pfunctor(f)}}} ({y}. {_pvalue(v)}) {_pvalue(w)}>"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -1578,15 +1545,11 @@ def _papp(e: SrcExpr, ren: _Renamer, env: dict[str, str]) -> str:
 
 def _pvalue(v: Value) -> str:
     match v:
-        case VVar(n):
-            return n
         case VUnit():
             return "()"
         case VPair(l, r):
             return f"({_pvalue(l)}, {_pvalue(r)})"
         case VInj(i, a):
-            if isinstance(a, VUnit):
-                pass
             return f"inj{i} {_pvalue(a)}"
         case VCons(ann, arg):
             return _pvalue_cons(ann, arg)

@@ -19,10 +19,10 @@ from typing import Optional
 
 from .source_ast import (
     App, Case, Cons, Delay, Dest, FArrow, FConst, Fold, Force, FProd, FRec,
-    FSum, Inj, Lam, Let, MapE, MapV, Pair, Program, Proj, ShapeFunctor,
+    FSum, Inj, Lam, Let, MapE, Pair, Program, Proj, ShapeFunctor,
     SourceError, SrcExpr, SrcType, TArrow, TInd, TProd, TSum, TSusp, TUnit,
     TVar, TypeScheme, Unit, Value, ValueEnv, Var, VCons, VDelayClo, VInj,
-    VLamClo, VPair, VUnit, VVar, free_tyvars, free_vars, iter_subexprs,
+    VLamClo, VPair, VUnit, free_tyvars, free_vars, iter_subexprs,
     pretty, pretty_type, subst_shape, subst_tyvars,
 )
 
@@ -407,14 +407,14 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             elab.let_generalized[id(e)] = gen
             scheme = TypeScheme(gen, tb)
             return _infer(ctx.extend(x, scheme), body, elab)
-        case MapE() | MapV():
-            raise SrcTypeError("map/mapv are not part of the core language", *_pos(e))
+        case MapE():
+            raise SrcTypeError("map is not part of the core language", *_pos(e))
     raise TypeError(f"not an expression: {e!r}")
 
 
 def is_core(e: SrcExpr) -> bool:
-    """True iff no map/mapv node occurs (Defn of the core language)."""
-    return not any(isinstance(sub, (MapE, MapV)) for sub in iter_subexprs(e))
+    """True iff no map node occurs (Defn of the core language)."""
+    return not any(isinstance(sub, MapE) for sub in iter_subexprs(e))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +462,7 @@ def check_program(program: Program) -> CheckedProgram:
 # ---------------------------------------------------------------------------
 
 
-def check_value(checked: Optional[CheckedProgram], v: Value, ty: SrcType,
-                ctx: Optional[dict[str, TypeScheme]] = None) -> None:
+def check_value(checked: Optional[CheckedProgram], v: Value, ty: SrcType) -> None:
     """Check ``v`` against ``ty`` per the value and closure typing rules.
 
     The environment condition on closures quantifies over all instances of
@@ -471,30 +470,19 @@ def check_value(checked: Optional[CheckedProgram], v: Value, ty: SrcType,
     demanded by the use sites recorded in the elaboration, which is the
     sound, checkable fragment.  Raises SrcTypeError on mismatch.
     """
-    _check_value(checked, v, ty, ctx or {})
+    _check_value(checked, v, ty)
 
 
-def _check_value(checked, v: Value, ty: SrcType, ctx: dict[str, TypeScheme]) -> None:
+def _check_value(checked, v: Value, ty: SrcType) -> None:
     match (v, ty):
-        case (VVar(n), _):
-            if n not in ctx:
-                raise SrcTypeError(f"unbound value variable {n}")
-            scheme = ctx[n]
-            if scheme.bound:
-                raise SrcTypeError(f"value variable {n} used at a scheme type")
-            if scheme.body != ty:
-                raise SrcTypeError(
-                    f"variable {n}: expected {pretty_type(ty)}, has {pretty_type(scheme.body)}"
-                )
-            return
         case (VUnit(), TUnit()):
             return
         case (VPair(l, r), TProd(tl, tr)):
-            _check_value(checked, l, tl, ctx)
-            _check_value(checked, r, tr, ctx)
+            _check_value(checked, l, tl)
+            _check_value(checked, r, tr)
             return
         case (VInj(i, a), TSum(tl, tr)):
-            _check_value(checked, a, tl if i == 0 else tr, ctx)
+            _check_value(checked, a, tl if i == 0 else tr)
             return
         case (VCons(ann, a), TInd(functor, _)):
             # values built inside polymorphic code carry open annotations,
@@ -504,7 +492,7 @@ def _check_value(checked, v: Value, ty: SrcType, ctx: dict[str, TypeScheme]) -> 
                     raise SrcTypeError(
                         f"constructor annotation {pretty_type(ann)} does not match {pretty_type(ty)}"
                     )
-            _check_value(checked, a, subst_shape(functor, ty), ctx)
+            _check_value(checked, a, subst_shape(functor, ty))
             return
         case (VLamClo(lam, env), TArrow(dom, cod)):
             static = _static_type(checked, lam)
@@ -626,7 +614,7 @@ def _check_closure_env(checked, e: SrcExpr, env: ValueEnv,
         for inst_ty in _demanded_instances(checked.elab, e, name, grounding):
             if free_tyvars(inst_ty):
                 continue  # non-ground instance: outside the checkable fragment
-            _check_value(checked, val, inst_ty, {})
+            _check_value(checked, val, inst_ty)
 
 
 def _demanded_instances(elab: Elab, e: SrcExpr, name: str,

@@ -6,7 +6,7 @@ from costrec.cost_eval import (
 )
 from costrec.source_ast import (
     EMPTY_ENV, FConst, FProd, FRec, FSum, NAT_TYPE, TUnit, ValueEnv, VCons,
-    VDelayClo, VInj, VLamClo, VPair, VUnit, VVar, Delay, Unit, numeral_value,
+    VDelayClo, VInj, VLamClo, VPair, VUnit, Delay, Unit, numeral_value,
     parse_expr, parse_program, pretty, value_eq,
 )
 
@@ -117,8 +117,9 @@ def test_mapv_constant_shape_returns_value():
 
 
 def test_mapv_recursion_variable_substitutes():
-    out = mapv_eval(FRec(), "y", VVar("y"), numeral_value(1))
-    assert value_eq(out, numeral_value(1))
+    out = mapv_eval(FRec(), "y", VDelayClo(parse_expr("y"), EMPTY_ENV), numeral_value(1))
+    assert isinstance(out, VDelayClo)
+    assert value_eq(eval_expr(out.env, out.expr).value, numeral_value(1))
 
 
 def test_mapv_sum_then_recursion():
@@ -178,10 +179,6 @@ main = depth (cons[fun1] (inj1[unit + (nat -> fun1)] (fn (n: nat) => cons[fun1] 
 # ---------------------------------------------------------------------------
 
 
-def test_subst_value_variable_hit():
-    assert value_eq(subst_value(VVar("y"), numeral_value(1), "y"), numeral_value(1))
-
-
 def test_subst_value_unit_unchanged():
     assert value_eq(subst_value(VUnit(), numeral_value(1), "y"), VUnit())
 
@@ -195,6 +192,9 @@ def test_subst_value_extends_closure_environment():
 
 
 def test_subst_value_structural():
-    v = VPair(VVar("y"), VInj(0, VVar("y")))
+    susp, lam = parse_expr("y"), parse_expr("fn (x: nat) => y")
+    v = VPair(VDelayClo(susp, EMPTY_ENV), VInj(0, VLamClo(lam, EMPTY_ENV)))
     out = subst_value(v, VUnit(), "y")
-    assert value_eq(out, VPair(VUnit(), VInj(0, VUnit())))
+    bound = EMPTY_ENV.extend("y", VUnit())
+    assert value_eq(out, VPair(VDelayClo(susp, bound), VInj(0, VLamClo(lam, bound))))
+    assert not value_eq(out, v)

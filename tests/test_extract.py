@@ -192,10 +192,10 @@ def test_add_cost_charges_the_pair_that_ends_a_let_chain():
 
 def test_non_core_input_rejected():
     from costrec.extract import ExtractError
-    from costrec.source_ast import FRec, MapV, VUnit
+    from costrec.source_ast import FRec, MapE, Unit, VUnit
 
     with pytest.raises(ExtractError):
-        extract_expr(MapV(FRec(), "y", VUnit(), VUnit()), Elab())
+        extract_expr(MapE(FRec(), "y", VUnit(), Unit()), Elab())
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ from costrec.cost_eval import apply_function, eval_expr
 from costrec.harness import apply_bound, gen_value, prepare, run_trial
 from costrec.models import (
     MODEL_NAMES, AllConsModel, ExactModel, LowerSizeModel, MergedModel,
-    ModelError, SemEnv, _min_antichain, SizeHeightModel, denote, denote_closed,
+    ModelError, SemEnv, SizeHeightModel, denote, denote_closed,
     galois_abs, galois_conc, make_model, observable, support_datatypes,
     value_potential,
 )
 from costrec.rec_lang import (
     RArrow, RC, RCase, RecElab, RecExpr, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
     RSRec, RSSum, RSum, RUnit, RUnitE, RVar, RZero, ROne, check_rec,
-    map_macro_typed, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
+    map_macro, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
     RPlus, RForall, RLet, RTyApp, RTyLam, pretty_rec_type, rec_free_vars,
     subst_rtyvars,
 )
@@ -490,7 +490,7 @@ def test_beta_fold_axiom_sound():
     e_prime = RInj(1, nat_unfold, RConsE(NAT, RInj(0, nat_unfold, RUnitE())))
     fold_term = RFold(NAT, RConsE(NAT, e_prime), "x",
                       subst_rec_shape(NAT.functor, RC()), step_body)
-    mapped = map_macro_typed(NAT.functor, NAT, RC(), "y",
+    mapped = map_macro(NAT.functor, NAT, RC(), "y",
                              RFold(NAT, RVar("y"), "x",
                                    subst_rec_shape(NAT.functor, RC()), step_body),
                              e_prime)
@@ -921,11 +921,15 @@ def _assert_same_antichain(zs, pruned, budget):
 @pytest.mark.parametrize("mode", ["size", "height"])
 def test_size_enumeration_is_an_antichain_by_construction(label, mode):
     m = SizeHeightModel(mode)
-    f = DATATYPES[label].functor
+    delta = DATATYPES[label]
+
+    def leaf(f, budget):
+        return m._enumerate_max(f, delta, None, budget)
+
     for budget in range(17):
-        zs = m._enumerate_max(f, budget)
+        zs = leaf(delta.functor, budget)
         _assert_same_antichain(
-            zs, _pruned_max(m._enumerate_max, f, budget, mode == "height"), budget)
+            zs, _pruned_max(leaf, delta.functor, budget, mode == "height"), budget)
 
 
 @pytest.mark.parametrize("label", sorted(DATATYPES))
@@ -943,12 +947,67 @@ def test_allcons_enumeration_is_an_antichain_by_construction(label, other):
         _assert_same_antichain(zs, _pruned_max(leaf, delta.functor, budget, False), budget)
 
 
+def _min_antichain(items):
+    """The minimal elements of ``items`` by pairwise ``sem_leq``, sorted by
+    ``str``: the reference pruning for the lower model's decompositions.
+    """
+    out = []
+    for x in items:
+        if any(sem_leq(y, x) for y in out):
+            continue
+        out = [y for y in out if not sem_leq(x, y)]
+        out.append(x)
+    return sorted(out, key=str)
+
+
+def _pruned_min(m, f, budget):
+    """Minimal decompositions the slow way: every split of the budget,
+    pruned at every sum and product.
+    """
+    if budget <= 0:
+        return [m.bottom(subst_rec_shape(f, RInd(RSRec())))]
+    match f:
+        case RSRec():
+            return [size(budget)]
+        case RSConst(_):
+            return []
+        case RSSum(l, r):
+            return _min_antichain([SIdeal((g,), ()) for g in _pruned_min(m, l, budget)]
+                                  + [SIdeal((), (g,)) for g in _pruned_min(m, r, budget)])
+        case RSProd(l, r):
+            return _min_antichain([SPair(a, b) for bl in range(budget + 1)
+                                   for a in _pruned_min(m, l, bl)
+                                   for b in _pruned_min(m, r, budget - bl)])
+
+
 @pytest.mark.parametrize("label", sorted(DATATYPES))
 def test_lower_enumeration_is_a_min_antichain(label):
     m = LowerSizeModel()
+    f = DATATYPES[label].functor
     for budget in range(17):
-        zs = m._enumerate_min(DATATYPES[label].functor, budget)
-        assert zs == _min_antichain(zs), budget
+        zs = m._enumerate_min(f, budget)
+        minimal = _pruned_min(m, f, budget)
+        # every minimal decomposition is there, and every other one lies
+        # above one: together, _min_antichain(zs) == minimal, without its
+        # quadratic pass over zs
+        found = set(minimal)
+        assert found <= set(zs), budget
+        assert all(z in found or any(sem_leq(y, z) for y in minimal) for z in zs), budget
+
+
+def test_lower_enumeration_makes_no_order_comparisons(monkeypatch):
+    from costrec import semdom
+
+    calls = []
+
+    def counting(a, b, leq=semdom.sem_leq):
+        calls.append(1)
+        return leq(a, b)
+
+    monkeypatch.setattr(semdom, "sem_leq", counting)
+    monkeypatch.setattr(models, "sem_leq", counting, raising=False)
+    assert LowerSizeModel()._enumerate_min(TREE_NAT.functor, 16)
+    assert not calls
 
 
 def _count_down(m):
@@ -1022,7 +1081,9 @@ def test_apply_bound_returns_a_canonical_potential():
 
 class _PruningImages:
     """The fold with pruning on its hot path: every ideal ``map_shape``
-    builds is pruned and the maximal decompositions come sorted.
+    builds is pruned, the maximal decompositions come sorted, and the lower
+    model's decompositions are pruned to the minimal ones and sorted at
+    every sum and product.
     """
 
     def map_shape(self, f, g, x):
@@ -1033,6 +1094,9 @@ class _PruningImages:
 
     def _enumerate_max(self, *args):
         return sorted(super()._enumerate_max(*args), key=str)
+
+    def _enumerate_min(self, f, budget):
+        return _min_antichain(super()._enumerate_min(f, budget))
 
 
 def _pruning_model(name):

@@ -5,7 +5,7 @@ from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecTypeError, RFold,
     RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd, RProj, RSConst,
     RSRec, RSSum, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero,
-    check_rec, map_macro, map_macro_typed, pretty_rec, rec_alpha_eq,
+    check_rec, map_macro, pretty_rec, rec_alpha_eq,
     rec_free_vars, simplify, subst_rec, subst_rec_shape, subst_rec_type_in_expr,
 )
 
@@ -53,19 +53,19 @@ def test_corpus_extractions_typecheck(name):
 
 
 def test_map_macro_recursion_clause_substitutes():
-    out = map_macro(RSRec(), NAT_REC, "y", RVar("y"), RUnitE())
+    out = map_macro(RSRec(), NAT_REC, NAT_REC, "y", RVar("y"), RUnitE())
     assert rec_alpha_eq(out, RUnitE())
 
 
 def test_map_macro_constant_clause_is_identity():
-    out = map_macro(RSConst(RC()), NAT_REC, "y", RZero(), RVar("e"))
+    out = map_macro(RSConst(RC()), NAT_REC, RC(), "y", RZero(), RVar("e"))
     assert rec_alpha_eq(out, RVar("e"))
 
 
 def test_map_macro_sum_then_recursion():
     # unit + t: a case whose right branch applies the body to the component
     f = RSSum(RSConst(RUnit()), RSRec())
-    out = map_macro_typed(f, NAT_REC, RC(), "y", RZero(), RVar("e"))
+    out = map_macro(f, NAT_REC, RC(), "y", RZero(), RVar("e"))
     assert isinstance(out, RCase)
     assert isinstance(out.branch0, RInj) and out.branch0.index == 0
     assert isinstance(out.branch1, RInj) and out.branch1.index == 1
@@ -79,7 +79,7 @@ def test_map_macro_product_projects():
     from costrec.rec_lang import RSProd
 
     f = RSProd(RSConst(RUnit()), RSRec())
-    out = map_macro(f, NAT_REC, "y", RVar("y"), RVar("e"))
+    out = map_macro(f, NAT_REC, NAT_REC, "y", RVar("y"), RVar("e"))
     assert isinstance(out, RPair)
     assert rec_alpha_eq(out.left, RProj(0, RVar("e")))
     assert rec_alpha_eq(out.right, RProj(1, RVar("e")))
@@ -89,7 +89,7 @@ def test_map_macro_arrow_wraps_lambda():
     from costrec.rec_lang import RSArrow
 
     f = RSArrow(RC(), RSRec())
-    out = map_macro(f, NAT_REC, "y", RVar("y"), RVar("e"))
+    out = map_macro(f, NAT_REC, NAT_REC, "y", RVar("y"), RVar("e"))
     assert isinstance(out, RLam)
     assert isinstance(out.body, RApp)
 

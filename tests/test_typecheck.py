@@ -4,7 +4,7 @@ from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text
 from costrec.cost_eval import apply_function, eval_expr, program_env
 from costrec.harness import gen_value
 from costrec.source_ast import (
-    BOOL, NAT_TYPE, EMPTY_ENV, MapV, FRec, Lam, Program, TArrow, TProd, TSum,
+    BOOL, NAT_TYPE, EMPTY_ENV, MapE, FRec, Lam, Program, TArrow, TProd, TSum,
     TSusp, TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
     parse_program, parse_type, pretty_type,
 )
@@ -195,12 +195,12 @@ def test_scheme_recorded_for_top_level_bindings():
 def test_is_core():
     assert is_core(parse_expr("fn (x: unit) => x"))
     assert is_core(corpus_checked("copy.src").program.binding("copy"))
-    mapv = MapV(FRec(), "y", VUnit(), VUnit())
+    mapv = MapE(FRec(), "y", VUnit(), Unit())
     assert not is_core(mapv)
 
 
 def test_map_not_typeable_in_core_mode():
-    mapv = MapV(FRec(), "y", VUnit(), VUnit())
+    mapv = MapE(FRec(), "y", VUnit(), Unit())
     with pytest.raises(SrcTypeError):
         infer_expr(TypeContext({}), mapv)
     # the parser never builds map nodes, but checking rejects a program
