@@ -123,7 +123,7 @@ def shape_is_polynomial(f: RecShape) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SemEnv:
     """Type variables map to closed recurrence types, term variables to
     semantic values.
@@ -1144,7 +1144,9 @@ _MK_PAIR, _MK_INJ, _MK_CONS = object(), object(), object()
 
 def _exact_value(v: S.Value, ty: S.TInd) -> SemValue:
     """A value of inductive type ty as the exact model's XCons, XInj, SPair
-    and SStar, built bottom-up from an explicit stack.
+    and SStar, built bottom-up from an explicit stack.  Each node is hashed
+    as it is built, when its children's hashes are already kept, so hashing
+    the root never recurses.
     """
     out: list = []
     stack = [(v, ty, ty)]  # (value, node, the datatype whose functor node is in)
@@ -1154,12 +1156,15 @@ def _exact_value(v: S.Value, ty: S.TInd) -> SemValue:
         if node is _MK_PAIR:
             right = out.pop()
             out[-1] = SPair(out[-1], right)
+            hash(out[-1])
             continue
         if node is _MK_INJ:
             out[-1] = XInj(v, out[-1])
+            hash(out[-1])
             continue
         if node is _MK_CONS:
             out[-1] = XCons(v, out[-1])
+            hash(out[-1])
             continue
         cls = type(node)
         if cls is S.FRec or cls is S.TInd:

@@ -2,7 +2,13 @@
 maps, order ideals represented by antichains of maximal generators, pairs,
 and (lazily joined) semantic functions.
 
-Everything here is immutable and pure.  Joins and meets on first-order data
+Everything here is pure.  Values are slotted dataclasses, immutable by
+convention: no code assigns a field after construction.  They are not
+frozen because a frozen dataclass sets every field through
+``object.__setattr__``: a two-field one takes about 0.8 us to build, 0.7 us
+when also slotted, and 0.25 us when slotted alone (Python 3.11.7, 2-vCPU
+Xeon virtual machine).  Each value compared by its fields keeps its hash in
+a ``_hash`` slot (see ``value_class``).  Joins and meets on first-order data
 are computed pointwise; joins and meets of functions are represented lazily.
 Ideals store only function-free elements: the order on semantic functions is
 not decidable, and the shipped models only place data inside sums.
@@ -11,10 +17,9 @@ not decidable, and the shipped models only place data inside sums.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional, Union
-
-from .source_ast import hash_once
 
 
 class SemError(Exception):
@@ -27,14 +32,39 @@ class UnsupportedFeature(SemError):
     """
 
 
+def value_class(cls):
+    """``@dataclass(slots=True)`` for a value compared by its fields, with
+    one more slot, ``_hash``, that keeps the value's hash once computed.
+    The hash is ``hash`` of the tuple of compared fields, the one the
+    generated dataclass hash gives, so set and dict order and every printed
+    bound are those of a frozen dataclass.  A child's hash is itself kept,
+    so hashing a tree visits each node once in its lifetime.  Sound only
+    because no code assigns a compared field after construction.
+    """
+    cls.__annotations__["_hash"] = "Optional[int]"
+    cls._hash = field(default=None, init=False, compare=False, repr=False)
+    cls = dataclass(slots=True)(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+    get = operator.attrgetter(*names)
+    key = get if len(names) > 1 else lambda v: (get(v),)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(key(self))
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Extended naturals
 # ---------------------------------------------------------------------------
 
 
 @functools.total_ordering
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class ExtNat:
     """A natural number or infinity (value None means infinity)."""
 
@@ -49,28 +79,23 @@ class ExtNat:
         return self.value is None
 
     def __add__(self, other: "ExtNat") -> "ExtNat":
-        if self.is_inf or other.is_inf:
+        a, b = self.value, other.value
+        if a is None or b is None:
             return INF
-        return ExtNat(self.value + other.value)
+        return ExtNat(a + b)
 
     def __le__(self, other: "ExtNat") -> bool:
-        if other.is_inf:
+        b = other.value
+        if b is None:
             return True
-        if self.is_inf:
-            return False
-        return self.value <= other.value
+        a = self.value
+        return a is not None and a <= b
 
     def max(self, other: "ExtNat") -> "ExtNat":
         return other if self <= other else self
 
     def min(self, other: "ExtNat") -> "ExtNat":
         return self if self <= other else other
-
-    def minus(self, k: int) -> "ExtNat":
-        """Truncated subtraction of a finite amount."""
-        if self.is_inf:
-            return INF
-        return ExtNat(max(self.value - k, 0))
 
     def __str__(self):
         return "inf" if self.is_inf else str(self.value)
@@ -92,8 +117,7 @@ def ext(n: Union[int, ExtNat, None]) -> ExtNat:
 # ---------------------------------------------------------------------------
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class SizeMap:
     """A finite map from datatype identity (a closed inductive recurrence
     type) to an extended natural, defaulting to 0.  Zero entries are not
@@ -101,28 +125,30 @@ class SizeMap:
     """
 
     entries: frozenset = frozenset()  # of (RecType, ExtNat) pairs
+    # the entries as a dict, built on first lookup
+    _dict: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def of(mapping: dict) -> "SizeMap":
         return SizeMap(frozenset((k, ext(v)) for k, v in mapping.items() if ext(v) != ZERO))
 
-    def get(self, delta) -> ExtNat:
-        for k, v in self.entries:
-            if k == delta:
-                return v
-        return ZERO
+    def _lookup(self) -> dict:
+        d = self._dict
+        if d is None:
+            d = self._dict = dict(self.entries)
+        return d
 
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.entries}
+    def get(self, delta) -> ExtNat:
+        return self._lookup().get(delta, ZERO)
 
     def set(self, delta, n: ExtNat) -> "SizeMap":
-        d = self.as_dict()
+        d = dict(self._lookup())
         d[delta] = n
         return SizeMap.of(d)
 
     def pointwise(self, other: "SizeMap", op) -> "SizeMap":
-        keys = {k for k, _ in self.entries} | {k for k, _ in other.entries}
-        return SizeMap.of({k: op(self.get(k), other.get(k)) for k in keys})
+        a, b = self._lookup(), other._lookup()
+        return SizeMap.of({k: op(a.get(k, ZERO), b.get(k, ZERO)) for k in a.keys() | b.keys()})
 
     def join(self, other: "SizeMap") -> "SizeMap":
         return self.pointwise(other, lambda a, b: a.max(b))
@@ -134,8 +160,9 @@ class SizeMap:
         return self.pointwise(other, lambda a, b: a + b)
 
     def leq(self, other: "SizeMap") -> bool:
-        keys = {k for k, _ in self.entries} | {k for k, _ in other.entries}
-        return all(self.get(k) <= other.get(k) for k in keys)
+        # a key only the other map holds is 0 here, below anything
+        b = other._lookup()
+        return all(v <= b.get(k, ZERO) for k, v in self._lookup().items())
 
     def __str__(self):
         from .rec_lang import pretty_rec_type
@@ -152,7 +179,7 @@ class SizeMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SStar:
     """The unit value."""
 
@@ -160,8 +187,7 @@ class SStar:
         return "*"
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class SNum:
     """A number in a cost or size position; the kind fixes the bottom
     element (0 for costs, 1 for sizes).
@@ -174,8 +200,7 @@ class SNum:
         return str(self.num)
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class SMap:
     sizemap: SizeMap
 
@@ -183,8 +208,7 @@ class SMap:
         return str(self.sizemap)
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class SPair:
     left: "SemValue"
     right: "SemValue"
@@ -193,8 +217,7 @@ class SPair:
         return f"({self.left}, {self.right})"
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class SIdeal:
     """An order ideal in O(A + B), represented by antichains of maximal
     generators for each side.  The denoted ideal is the downward closure.
@@ -209,7 +232,7 @@ class SIdeal:
         return "{" + ls + "}⊔{" + rs + "}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SFun:
     """A monotone semantic function.  Compared by identity; joins and meets
     of functions are built lazily.
@@ -224,7 +247,7 @@ class SFun:
         return "<fun>"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SPoly:
     """A type-indexed family of semantic values (the denotation of a type
     abstraction); instantiation is memoized per closed type argument.
@@ -242,8 +265,7 @@ class SPoly:
         return "<polyfun>"
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class XCons:
     """Exact-model inductive value: a constructor applied to data."""
 
@@ -254,8 +276,7 @@ class XCons:
         return f"cons({self.arg})"
 
 
-@hash_once
-@dataclass(frozen=True)
+@value_class
 class XInj:
     """Exact-model sum value."""
 

@@ -62,11 +62,12 @@ def type_memo(ty, slot: str, compute):
 
 
 def hash_once(cls):
-    """Class decorator for a frozen dataclass whose instances are hashed
-    often: the generated structural hash, computed once per instance and
-    kept with ``type_memo``.  Equality and the hash values are unchanged;
-    a child's hash is itself cached, so hashing a tree visits each node
-    once in its lifetime.
+    """Class decorator for the frozen dataclasses of types, shape functors
+    and recurrence terms, which are hashed often: the generated structural
+    hash, computed once per instance and kept with ``type_memo``.  Equality
+    and the hash values are unchanged; a child's hash is itself cached, so
+    hashing a tree visits each node once in its lifetime.  (Semantic values
+    keep theirs in a slot: see ``semdom.value_class``.)
     """
     structural = cls.__hash__
 
@@ -438,41 +439,41 @@ class ValueEnv:
 EMPTY_ENV = ValueEnv()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Value:
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VPair(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VInj(Value):
     index: int
     arg: Value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VLamClo(Value):
     lam: Lam
     env: ValueEnv
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VDelayClo(Value):
     expr: SrcExpr
     env: ValueEnv
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class VCons(Value):
     annotation: SrcType
     arg: Value

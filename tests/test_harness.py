@@ -20,10 +20,12 @@ from costrec.extract import ExtractError, extract_program
 from costrec.harness import (
     HarnessError, TrialConfig, gen_value, prepare, run_trial, verify_bound,
 )
-from costrec.models import ModelError, make_model, value_potential
+from costrec.models import MODEL_NAMES, ModelError, make_model, value_potential
 from costrec.rec_lang import RecTypeError
 from costrec.semdom import SNum, UnsupportedFeature, ext
-from costrec.source_ast import VUnit, parse_program, parse_type, pretty
+from costrec.source_ast import (
+    VCons, VInj, VPair, VUnit, numeral_value, parse_program, parse_type, pretty,
+)
 from costrec.typecheck import check_program, check_value
 
 
@@ -201,6 +203,21 @@ def test_verify_records_failures_with_replay_data():
     assert len(doc["trials"]) == 10
     for t in doc["trials"]:
         assert set(t) == {"index", "inputs", "cost", "results", "ok"}
+
+
+def test_run_trial_on_a_long_list_stays_below_the_recursion_limit():
+    # in-process, on the default stack: the exact model's embedding of the
+    # argument is hashed as a bound-cache key, and that hash must not recurse
+    # once per element
+    prepared = prepare(corpus_checked("tail.src"), "tail", MODEL_NAMES)
+    ty = prepared.arg_types[0]
+    xs = VCons(ty, VInj(0, VUnit()))
+    for i in range(100):
+        xs = VCons(ty, VInj(1, VPair(numeral_value(i % 3), xs)))
+    trial = run_trial(prepared, [xs], 0, {})
+    assert trial.ok
+    assert sorted(trial.results) == sorted(MODEL_NAMES)
+    assert all(r["status"] == "pass" for r in trial.results.values()), trial.results
 
 
 def test_non_observable_function_rejected():
