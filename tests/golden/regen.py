@@ -4,10 +4,14 @@
 ``costrec analyze ... --json`` for each query in ``ANALYZE``;
 ``verify_sha256.json`` holds the SHA-256 digest of ``costrec verify FILE
 --fn FN --trials 40 --seed 3 --json`` for each function in ``VERIFY``, run
-from the corpus directory as the file name is part of the report.  Every
-command runs in-process through ``costrec.cli.main``.
+from the corpus directory as the file name is part of the report;
+``frontend.json`` holds the exact standard output and exit code of
+``costrec check``, ``extract`` and ``extract --simplify`` with ``--json`` on
+every corpus file and on ``poly_let.src``.  Every command runs in-process
+through ``costrec.cli.main``.  ``eval`` is left out: no corpus file has a
+``main`` expression.
 
-To rewrite both files and print a diff against the committed ones, run
+To rewrite the files and print a diff against the committed ones, run
 
     python tests/golden/regen.py
 
@@ -21,6 +25,7 @@ import contextlib
 import difflib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -31,6 +36,7 @@ ROOT = HERE.parent.parent
 CORPUS_DIR = ROOT / "src" / "costrec" / "corpus"
 ANALYZE_FILE = HERE / "analyze.json"
 VERIFY_FILE = HERE / "verify_sha256.json"
+FRONTEND_FILE = HERE / "frontend.json"
 
 # (file, function, model, rungs): every rung of the analyze-ladder
 # benchmark; revgo's accumulator and plus's addend are fixed at half the
@@ -91,6 +97,14 @@ VERIFY = (
 )
 VERIFY_ARGS = ("--trials", "40", "--seed", "3", "--json")
 
+# (command, file): the front end on the nine corpus files, and on a local
+# let that is generalized (no corpus file generalizes one)
+FRONTEND_FILES = ("copy.src", "copynat.src", "fusion.src", "map.src", "mem.src",
+                  "plus.src", "rev.src", "sumtree.src", "tail.src", "poly_let.src")
+FRONTEND = tuple((command, file)
+                 for file in FRONTEND_FILES
+                 for command in ("check", "extract", "extract --simplify"))
+
 
 def query_id(file: str, fn: str, model: str, at: str) -> str:
     return f"{file} {fn} {model} {at}"
@@ -122,12 +136,31 @@ def verify_digest(file: str, fn: str) -> dict:
     return {"code": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
+def frontend_id(command: str, file: str) -> str:
+    return f"{command} {file}"
+
+
+def frontend_output(command: str, file: str) -> dict:
+    """``costrec COMMAND FILE --json`` with the name counters restarted, as
+    the names extraction makes up are numbered process-wide.
+    """
+    from costrec import rec_lang, source_ast
+
+    rec_lang._fresh = itertools.count()
+    source_ast._fresh_counter = itertools.count()
+    path = HERE / file if file == "poly_let.src" else CORPUS_DIR / file
+    code, out = run_cli([*command.split(), str(path), "--json"])
+    return {"code": code, "stdout": out}
+
+
 def generate() -> dict[Path, str]:
     analyze = {query_id(*q): analyze_output(*q) for q in ANALYZE}
     verify = {fn: verify_digest(file, fn) for file, fn in VERIFY}
+    frontend = {frontend_id(*c): frontend_output(*c) for c in FRONTEND}
     return {
         ANALYZE_FILE: json.dumps(analyze, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         VERIFY_FILE: json.dumps(verify, indent=2, sort_keys=True) + "\n",
+        FRONTEND_FILE: json.dumps(frontend, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
     }
 
 

@@ -16,11 +16,13 @@ def _golden(path):
 
 ANALYZE_GOLDEN = _golden(regen.ANALYZE_FILE)
 VERIFY_GOLDEN = _golden(regen.VERIFY_FILE)
+FRONTEND_GOLDEN = _golden(regen.FRONTEND_FILE)
 
 
 def test_golden_files_cover_every_query():
     assert sorted(ANALYZE_GOLDEN) == sorted(regen.query_id(*q) for q in regen.ANALYZE)
     assert sorted(VERIFY_GOLDEN) == sorted(fn for _, fn in regen.VERIFY)
+    assert sorted(FRONTEND_GOLDEN) == sorted(regen.frontend_id(*c) for c in regen.FRONTEND)
 
 
 @pytest.mark.parametrize("query", regen.ANALYZE, ids=lambda q: regen.query_id(*q))
@@ -31,3 +33,8 @@ def test_analyze_json_matches_golden(query):
 @pytest.mark.parametrize("file,fn", regen.VERIFY, ids=lambda v: v)
 def test_verify_json_digest_matches_golden(file, fn):
     assert regen.verify_digest(file, fn) == VERIFY_GOLDEN[fn]
+
+
+@pytest.mark.parametrize("command,file", regen.FRONTEND, ids=lambda c: c)
+def test_frontend_json_matches_golden(command, file):
+    assert regen.frontend_output(command, file) == FRONTEND_GOLDEN[regen.frontend_id(command, file)]
