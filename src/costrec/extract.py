@@ -7,8 +7,8 @@ evaluation cost and whose second component (the potential) bounds the value.
 Extraction is in A-normal form: a subterm whose cost and potential are both
 needed is bound once with ``let`` instead of being copied, so an extracted
 term is a chain of lets that ends in a literal pair.  Extraction is
-derivation-directed: it consumes the elaboration produced by the typechecker
-(recorded instantiations, generalized let variables, branch types).
+derivation-directed: it reads the types, instantiations and generalized let
+variables that the typechecker wrote onto the nodes.
 """
 
 from __future__ import annotations
@@ -148,21 +148,21 @@ def _close(binds: Bindings, body: RecExpr) -> RecExpr:
 # ---------------------------------------------------------------------------
 
 
-def extract_expr(e: S.SrcExpr, elab: T.Elab) -> RecExpr:
-    """Extract the complexity of a core, well-typed expression.  The result
-    is a chain of lets that ends in a literal pair.
+def extract_expr(e: S.SrcExpr) -> RecExpr:
+    """Extract the complexity of a core, checked expression.  The result is
+    a chain of lets that ends in a literal pair.
     """
-    return _scoped(e, elab, {})
+    return _scoped(e, {})
 
 
-def _scoped(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str]) -> RecExpr:
+def _scoped(e: S.SrcExpr, ren: dict[str, str]) -> RecExpr:
     """Extract ``e`` as a scope of its own: the lets of its operands float up
     to here and no further.  Lambda bodies, case branches, fold steps and
     delayed bodies are scopes, so no let leaves a binder or moves work
     across a suspension.
     """
     binds: Bindings = []
-    return _close(binds, _extract(e, elab, ren, binds))
+    return _close(binds, _extract(e, ren, binds))
 
 
 def _shadow(ren: dict[str, str], x: str) -> dict[str, str]:
@@ -171,8 +171,7 @@ def _shadow(ren: dict[str, str], x: str) -> dict[str, str]:
     return {k: v for k, v in ren.items() if k != x}
 
 
-def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
-             binds: Bindings) -> RPair:
+def _extract(e: S.SrcExpr, ren: dict[str, str], binds: Bindings) -> RPair:
     """The complexity of ``e`` as a literal pair, appending the lets it needs
     to ``binds``.  ``ren`` maps source let variables to the recurrence
     variables bound for them; every let binder is fresh, so floating a let
@@ -181,82 +180,79 @@ def _extract(e: S.SrcExpr, elab: T.Elab, ren: dict[str, str],
     match e:
         case S.Var(name, _):
             pot: RecExpr = RVar(ren.get(name, name))
-            for ty in elab.instantiations.get(id(e), ()):
+            for ty in e.instantiation:
                 pot = RTyApp(pot, potential_type(ty))
             return RPair(RZero(), pot)
         case S.Unit():
             return RPair(RZero(), RUnitE())
         case S.Pair(l, r):
-            el = _extract(l, elab, ren, binds)
-            er = _extract(r, elab, ren, binds)
+            el = _extract(l, ren, binds)
+            er = _extract(r, ren, binds)
             return RPair(_plus(el.left, er.left), RPair(el.right, er.right))
         case S.Proj(i, a):
-            ea = _extract(a, elab, ren, binds)
+            ea = _extract(a, ren, binds)
             return RPair(ea.left, RProj(i, ea.right))
         case S.Inj(i, ann, a):
-            ea = _extract(a, elab, ren, binds)
-            ann_pot = potential_type(elab.types[id(e)])
-            return RPair(ea.left, RInj(i, ann_pot, ea.right))
+            ea = _extract(a, ren, binds)
+            return RPair(ea.left, RInj(i, potential_type(e.ty), ea.right))
         case S.Case(scrut, x0, b0, x1, b1):
-            es = _extract(scrut, elab, ren, binds)
-            scrut_ty = elab.types[id(scrut)]
+            es = _extract(scrut, ren, binds)
+            scrut_ty = scrut.ty
             if not isinstance(scrut_ty, S.TSum):
                 raise ExtractError("case scrutinee is not a sum")
             case_e = RCase(
                 es.right,
-                x0, potential_type(scrut_ty.left), _scoped(b0, elab, _shadow(ren, x0)),
-                x1, potential_type(scrut_ty.right), _scoped(b1, elab, _shadow(ren, x1)),
+                x0, potential_type(scrut_ty.left), _scoped(b0, _shadow(ren, x0)),
+                x1, potential_type(scrut_ty.right), _scoped(b1, _shadow(ren, x1)),
             )
             return _charge(es.left, case_e, binds)
         case S.Lam(x, ann, body):
             return RPair(RZero(), RLam(x, potential_type(ann),
-                                       _scoped(body, elab, _shadow(ren, x))))
+                                       _scoped(body, _shadow(ren, x))))
         case S.App(f, a):
-            ef = _extract(f, elab, ren, binds)
-            ea = _extract(a, elab, ren, binds)
+            ef = _extract(f, ren, binds)
+            ea = _extract(a, ren, binds)
             return _charge(_plus(ef.left, ea.left), RApp(ef.right, ea.right), binds)
         case S.Delay(body):
-            return RPair(RZero(), _scoped(body, elab, ren))
+            return RPair(RZero(), _scoped(body, ren))
         case S.Force(a):
-            ea = _extract(a, elab, ren, binds)
+            ea = _extract(a, ren, binds)
             return _charge(ea.left, ea.right, binds)
         case S.Cons(ann, a):
-            ea = _extract(a, elab, ren, binds)
-            delta = potential_type(elab.types[id(e)])
+            ea = _extract(a, ren, binds)
+            delta = potential_type(e.ty)
             assert isinstance(delta, RInd)
             return RPair(ea.left, RConsE(delta, ea.right))
         case S.Dest(ann, a):
-            ea = _extract(a, elab, ren, binds)
-            delta = potential_type(elab.types[id(a)])
+            ea = _extract(a, ren, binds)
+            delta = potential_type(a.ty)
             assert isinstance(delta, RInd)
             return RPair(ea.left, RDestE(delta, ea.right))
         case S.Fold(ann, scrut, x, body, res):
-            es = _extract(scrut, elab, ren, binds)
-            delta_src = elab.types[id(scrut)]
-            if not isinstance(delta_src, S.TInd):
+            es = _extract(scrut, ren, binds)
+            if not isinstance(scrut.ty, S.TInd):
                 raise ExtractError("fold scrutinee is not an inductive type")
-            delta = potential_type(delta_src)
+            delta = potential_type(scrut.ty)
             assert isinstance(delta, RInd)
-            res_cpx = complexity_type(elab.types[id(e)])
+            res_cpx = complexity_type(e.ty)
             binder_ann = subst_rec_shape(delta.functor, res_cpx)
-            step = add_cost(ROne(), _scoped(body, elab, _shadow(ren, x)))
+            step = add_cost(ROne(), _scoped(body, _shadow(ren, x)))
             return _charge(es.left, RFold(delta, es.right, x, binder_ann, step), binds)
         case S.Let(x, bound, body):
-            gen = elab.let_generalized.get(id(e), ())
-            if gen:
+            if e.generalized:
                 # the bound's lets mention the generalized type variables, so
                 # the potential keeps its own copy of them inside the type
                 # abstraction; the copy left outside pays the bound's cost
                 inner: Bindings = []
-                eb = _extract(bound, elab, ren, inner)
-                pot = _generalize(_close(inner, eb.right), gen)
+                eb = _extract(bound, ren, inner)
+                pot = _generalize(_close(inner, eb.right), e.generalized)
                 binds.extend(inner)
             else:
-                eb = _extract(bound, elab, ren, binds)
+                eb = _extract(bound, ren, binds)
                 pot = eb.right
             x2 = rec_gensym(x)
             binds.append((x2, pot))
-            ebody = _extract(body, elab, {**ren, x: x2}, binds)
+            ebody = _extract(body, {**ren, x: x2}, binds)
             return RPair(_plus(eb.left, ebody.left), ebody.right)
         case S.MapE():
             raise ExtractError("extraction is defined only for the core language")
@@ -305,10 +301,9 @@ def extract_program(checked: T.CheckedProgram) -> ExtractedProgram:
     """
     out: dict[str, ExtractedBinding] = {}
     earlier = _TopLevel()
-    elab = checked.elab
     for name, expr in checked.program.bindings:
         binds: Bindings = []
-        tail = _extract(expr, elab, {}, binds)
+        tail = _extract(expr, {}, binds)
         scheme = checked.schemes[name]
         pot = _generalize(_close(binds, tail.right), scheme.bound)
         pot_free = rec_free_vars(pot)
@@ -323,7 +318,7 @@ def extract_program(checked: T.CheckedProgram) -> ExtractedProgram:
         earlier.add(name, pot, pot_free)
     main = None
     if checked.program.main is not None:
-        main = earlier.close(extract_expr(checked.program.main, elab))
+        main = earlier.close(extract_expr(checked.program.main))
     return ExtractedProgram(out, main)
 
 

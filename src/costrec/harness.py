@@ -355,26 +355,25 @@ def prepare(checked: T.CheckedProgram, fn: str, model_names: tuple[str, ...],
     env, _ = program_env(program)
     prepared = PreparedFn(fn, arg_types, result_type, checked, extracted, env)
     binding = extracted.bindings[fn]
+    # every model denotes the same term, checked once
+    term = binding.potential if scheme.bound else binding.complexity
+    elab = RecElab()
+    check_rec({}, term, elab)
     for name in model_names:
         model = make_model(name)
         try:
+            meaning = denote(model, SemEnv(), term, elab)
             if scheme.bound:
-                elab = RecElab()
-                check_rec({}, binding.potential, elab)
-                pot = denote(model, SemEnv(), binding.potential, elab)
-                ty = binding.potential_ty
+                pot, ty = meaning, binding.potential_ty
                 for _ in scheme.bound:
                     assert isinstance(ty, RForall)
                     pot = model.tyapp(pot, potential_type(inst), ty.var, ty.body)
                     ty = ty.body  # nested quantifiers instantiate one by one
                 base_cost = ext(0)
             else:
-                elab = RecElab()
-                check_rec({}, binding.complexity, elab)
-                cpx = denote(model, SemEnv(), binding.complexity, elab)
-                if not isinstance(cpx, SPair):
+                if not isinstance(meaning, SPair):
                     raise HarnessError("extracted complexity did not denote a pair")
-                base_cost, pot = cpx.left.num, cpx.right
+                base_cost, pot = meaning.left.num, meaning.right
             prepared.denoted[name] = (model, base_cost, pot)
         except UnsupportedFeature as exc:
             prepared.skipped[name] = str(exc)

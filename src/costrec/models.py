@@ -42,7 +42,7 @@ from .rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecExpr, RecShape,
     RecType, RFold, RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd,
     RProj, RSArrow, RSConst, RSProd, RSRec, RSSum, RSum, RTVar, RTyApp,
-    RTyLam, RUnit, RUnitE, RVar, RZero, check_rec, pretty_rec_type,
+    RTyLam, RUnit, RUnitE, RVar, RZero, pretty_rec_type,
     rec_free_tyvars, rec_free_vars, subst_rec_shape, subst_rtyvars, quantifier_free,
 )
 from .semdom import (
@@ -982,13 +982,6 @@ def _closer(ty: RecType) -> Callable[[SemEnv], RecType]:
     if not rec_free_tyvars(ty):
         return lambda env: ty
     return lambda env: env.close(ty)
-
-
-def denote_closed(model: Model, e: RecExpr) -> SemValue:
-    """Type check a closed term and denote it."""
-    elab = RecElab()
-    check_rec({}, e, elab)
-    return denote(model, SemEnv(), e, elab)
 
 
 # ---------------------------------------------------------------------------

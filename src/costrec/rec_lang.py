@@ -590,41 +590,6 @@ def _check_node(ctx: dict[str, RecType], e: RecExpr, elab: RecElab) -> RecType:
 
 
 # ---------------------------------------------------------------------------
-# The structural map macro
-# ---------------------------------------------------------------------------
-
-
-def map_macro(f: RecShape, rho: RecType, target: RecType, binder: str,
-              fn_body: RecExpr, arg: RecExpr) -> RecExpr:
-    """``F[rho; y.e', e]`` at the target type ``F[target]``: substitution at
-    the recursion variable, identity at constants, case at sums, pair of
-    projections at products, and eta-wrapping at arrows.  The injections at
-    a sum ``F0 + F1`` are annotated ``(F0 + F1)[target]``.
-    """
-    match f:
-        case RSRec():
-            return subst_rec(fn_body, binder, arg)
-        case RSConst(_):
-            return arg
-        case RSSum(f0, f1):
-            x = rec_gensym("x")
-            want = subst_rec_shape(f, target)
-            b0 = map_macro(f0, rho, target, binder, fn_body, RVar(x))
-            b1 = map_macro(f1, rho, target, binder, fn_body, RVar(x))
-            return RCase(arg, x, subst_rec_shape(f0, rho), RInj(0, want, b0),
-                         x, subst_rec_shape(f1, rho), RInj(1, want, b1))
-        case RSProd(f0, f1):
-            return RPair(
-                map_macro(f0, rho, target, binder, fn_body, RProj(0, arg)),
-                map_macro(f1, rho, target, binder, fn_body, RProj(1, arg)),
-            )
-        case RSArrow(dom, body):
-            x = rec_gensym("x")
-            return RLam(x, dom, map_macro(body, rho, target, binder, fn_body, RApp(arg, RVar(x))))
-    raise RecTypeError(f"not a recurrence shape functor: {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # Simplifier
 # ---------------------------------------------------------------------------
 

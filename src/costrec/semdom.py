@@ -130,7 +130,7 @@ class SizeMap:
 
     @staticmethod
     def of(mapping: dict) -> "SizeMap":
-        return SizeMap(frozenset((k, ext(v)) for k, v in mapping.items() if ext(v) != ZERO))
+        return SizeMap(frozenset((k, n) for k, v in mapping.items() if (n := ext(v)).value != 0))
 
     def _lookup(self) -> dict:
         d = self._dict

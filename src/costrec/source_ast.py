@@ -272,7 +272,10 @@ def free_tyvars_shape(f: ShapeFunctor) -> set[str]:
 
 @dataclass(frozen=True, eq=False)
 class SrcExpr:
-    """Base class; nodes compare by identity (alpha_eq compares structure)."""
+    """Base class; nodes compare by identity (alpha_eq compares structure).
+    Type checking sets attributes that are not fields: ``ty`` on each node,
+    ``instantiation`` on a ``Var`` and ``generalized`` on a ``Let``.
+    """
 
     def __post_init__(self):
         pass

@@ -6,24 +6,23 @@ first-order unification against the use site.  Unification variables that
 survive to the end of a top-level binding are reported as ambiguous, never
 guessed.
 
-The checker also produces an elaboration (per-node types, recorded
-instantiations, generalized variables) that recurrence extraction and value
-checking consume.
+Checking writes the derivation onto the nodes, as attributes that are not
+dataclass fields: each node's type ``ty``, each ``Var``'s ``instantiation``
+and each ``Let``'s ``generalized`` type variables, none holding a hole.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .source_ast import (
     App, Case, Cons, Delay, Dest, FArrow, FConst, Fold, Force, FProd, FRec,
     FSum, Inj, Lam, Let, MapE, Pair, Program, Proj, ShapeFunctor,
     SourceError, SrcExpr, SrcType, TArrow, TInd, TProd, TSum, TSusp, TUnit,
-    TVar, TypeScheme, Unit, Value, ValueEnv, Var, VCons, VDelayClo, VInj,
-    VLamClo, VPair, VUnit, free_tyvars, free_vars, iter_subexprs,
-    pretty, pretty_type, subst_shape, subst_tyvars,
+    TVar, TypeScheme, Unit, Var, free_tyvars, pretty_type, subst_shape,
+    subst_tyvars,
 )
 
 
@@ -220,56 +219,37 @@ class TypeContext:
         return out
 
 
-@dataclass
 class Elab:
-    """Typing-derivation data keyed by AST node identity.  The tables are
-    valid while the checked expression they were recorded for is alive; the
-    caller keeps it.  After checking, no type in them holds a hole.
-    """
+    """The (node, type) pairs inferred since the last ``_finalize``."""
 
-    types: dict[int, SrcType] = field(default_factory=dict)
-    instantiations: dict[int, tuple[SrcType, ...]] = field(default_factory=dict)
-    schemes: dict[int, TypeScheme] = field(default_factory=dict)  # var -> used scheme
-    let_generalized: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    # (node, type) inferred since the last _finalize, not yet in ``types``
-    _fresh: list = field(default_factory=list)
-
-    def type_of(self, e: SrcExpr) -> SrcType:
-        return self.types[id(e)]
+    def __init__(self):
+        self.pending: list[tuple[SrcExpr, SrcType]] = []
 
     def _finalize(self, pos=None) -> None:
-        """Zonk each entry recorded since the last call, once; reject the
-        unsolved holes; and write each constructor annotation whose holes
-        were solved back onto its node, so no hole outlives checking.
+        """Zonk each pending type and ``Var`` instantiation once, reject the
+        unsolved holes, and write them, and each constructor annotation whose
+        holes were solved, onto their nodes, so no hole outlives checking.
         """
-        fresh, self._fresh = self._fresh, []
-        for e, ty in fresh:
+        pending, self.pending = self.pending, []
+        for e, ty in pending:
             z = zonk(ty)
             if _contains_meta(z):
                 raise SrcTypeError(
                     "ambiguous type instantiation (annotate with x[ty] or a constructor type argument)",
                     *(pos or (0, 0)),
                 )
-            self.types[id(e)] = z
+            object.__setattr__(e, "ty", z)
             # a Cons or Inj node's type is its annotation
             if isinstance(e, (Cons, Inj)) and e.annotation is not z:
                 object.__setattr__(e, "annotation", z)
-        for e, _ in fresh:
-            key = id(e)
-            if key in self.instantiations:
-                zs = tuple(zonk(t) for t in self.instantiations[key])
+        for e, _ in pending:
+            if isinstance(e, Var):
+                zs = tuple(zonk(t) for t in e.instantiation)
                 if any(_contains_meta(z) for z in zs):
                     raise SrcTypeError(
                         "ambiguous type instantiation (annotate with x[ty])", *(pos or (0, 0))
                     )
-                self.instantiations[key] = zs
-            if key in self.schemes:
-                self.schemes[key] = _zonk_scheme(self.schemes[key])
-
-
-def _zonk_scheme(scheme: TypeScheme) -> TypeScheme:
-    body = zonk(scheme.body)
-    return scheme if body is scheme.body else TypeScheme(scheme.bound, body)
+                object.__setattr__(e, "instantiation", zs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +257,14 @@ def _zonk_scheme(scheme: TypeScheme) -> TypeScheme:
 # ---------------------------------------------------------------------------
 
 
-def infer_expr(ctx: TypeContext, e: SrcExpr, elab: Optional[Elab] = None) -> SrcType:
+def infer_expr(ctx: TypeContext, e: SrcExpr) -> SrcType:
     """Derive the type of ``e`` under ``ctx``; on success the unique derivable
-    type, with no hole left, is recorded in ``elab`` (when given) for every
-    subexpression.
+    type, with no hole left, is written onto every subexpression.
     """
-    elab = elab if elab is not None else Elab()
+    elab = Elab()
     _infer(ctx, e, elab)
     elab._finalize(getattr(e, "pos", None))
-    return elab.type_of(e)
+    return e.ty
 
 
 def _pos(e: SrcExpr):
@@ -294,7 +273,7 @@ def _pos(e: SrcExpr):
 
 def _infer(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
     ty = _infer_node(ctx, e, elab)
-    elab._fresh.append((e, ty))
+    elab.pending.append((e, ty))
     return ty
 
 
@@ -312,8 +291,7 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
                 args = tuple(inst)
             else:
                 args = tuple(fresh_meta() for _ in scheme.bound)
-            elab.instantiations[id(e)] = args
-            elab.schemes[id(e)] = scheme
+            object.__setattr__(e, "instantiation", args)  # zonked by _finalize
             return subst_tyvars(scheme.body, dict(zip(scheme.bound, args)))
         case Unit():
             return TUnit()
@@ -404,17 +382,12 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
             # the context holds, so only a polymorphic one scans it
             tvs = free_tyvars(tb)
             gen = tuple(sorted(tvs - ctx.free_tyvars())) if tvs else ()
-            elab.let_generalized[id(e)] = gen
+            object.__setattr__(e, "generalized", gen)
             scheme = TypeScheme(gen, tb)
             return _infer(ctx.extend(x, scheme), body, elab)
         case MapE():
             raise SrcTypeError("map is not part of the core language", *_pos(e))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def is_core(e: SrcExpr) -> bool:
-    """True iff no map node occurs (Defn of the core language)."""
-    return not any(isinstance(sub, MapE) for sub in iter_subexprs(e))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +398,6 @@ def is_core(e: SrcExpr) -> bool:
 @dataclass
 class CheckedProgram:
     program: Program
-    elab: Elab
     schemes: dict[str, TypeScheme]  # top-level binding name -> generalized scheme
     main_type: Optional[SrcType] = None
 
@@ -434,13 +406,10 @@ def check_program(program: Program) -> CheckedProgram:
     """Check all top-level bindings in order, generalizing each like a
     let; unsolved instantiation variables inside a binding are an error.
     """
-    elab = Elab()
     ctx = TypeContext({})
     schemes: dict[str, TypeScheme] = {}
     for name, expr in program.bindings:
-        _infer(ctx, expr, elab)
-        elab._finalize(getattr(expr, "pos", None))
-        ty = elab.type_of(expr)  # _finalize has rejected any hole left in it
+        ty = infer_expr(ctx, expr)
         # every earlier scheme is closed, so no type variable is free in the
         # context and generalization binds all of them; the scheme is
         # closed and hole-free, so it stays out of ``ctx.open``
@@ -449,181 +418,7 @@ def check_program(program: Program) -> CheckedProgram:
         ctx.vars[name] = scheme
     main_type = None
     if program.main is not None:
-        _infer(ctx, program.main, elab)
-        elab._finalize(getattr(program.main, "pos", None))
-        main_type = elab.type_of(program.main)
+        main_type = infer_expr(ctx, program.main)
         if free_tyvars(main_type):
             raise SrcTypeError("main must have a closed monomorphic type")
-    return CheckedProgram(program, elab, schemes, main_type)
-
-
-# ---------------------------------------------------------------------------
-# Value typing (values, closures, environments)
-# ---------------------------------------------------------------------------
-
-
-def check_value(checked: Optional[CheckedProgram], v: Value, ty: SrcType) -> None:
-    """Check ``v`` against ``ty`` per the value and closure typing rules.
-
-    The environment condition on closures quantifies over all instances of
-    each scheme; we check each environment entry at the instances actually
-    demanded by the use sites recorded in the elaboration, which is the
-    sound, checkable fragment.  Raises SrcTypeError on mismatch.
-    """
-    _check_value(checked, v, ty)
-
-
-def _check_value(checked, v: Value, ty: SrcType) -> None:
-    match (v, ty):
-        case (VUnit(), TUnit()):
-            return
-        case (VPair(l, r), TProd(tl, tr)):
-            _check_value(checked, l, tl)
-            _check_value(checked, r, tr)
-            return
-        case (VInj(i, a), TSum(tl, tr)):
-            _check_value(checked, a, tl if i == 0 else tr)
-            return
-        case (VCons(ann, a), TInd(functor, _)):
-            # values built inside polymorphic code carry open annotations,
-            # which must match the checked (closed) instance up to grounding
-            if ann != ty:
-                if not (free_tyvars(ann) and _grounds_to(ann, ty)):
-                    raise SrcTypeError(
-                        f"constructor annotation {pretty_type(ann)} does not match {pretty_type(ty)}"
-                    )
-            _check_value(checked, a, subst_shape(functor, ty))
-            return
-        case (VLamClo(lam, env), TArrow(dom, cod)):
-            static = _static_type(checked, lam)
-            grounding = _match_ground(static, ty)
-            _check_closure_env(checked, lam, env, grounding)
-            return
-        case (VDelayClo(expr, env), TSusp(body_ty)):
-            static = _static_type(checked, expr)
-            grounding = _match_ground(TSusp(static) if static is not None else None, ty)
-            _check_closure_env(checked, expr, env, grounding)
-            return
-    raise SrcTypeError(f"value {pretty(v)} does not check at {pretty_type(ty)}")
-
-
-def _grounds_to(open_ty: SrcType, closed_ty: SrcType) -> bool:
-    """True when some substitution for the free type variables of the first
-    type yields the second (first-order matching).
-    """
-    try:
-        _match_ground(open_ty, closed_ty)
-        return True
-    except SrcTypeError:
-        return False
-
-
-def _static_type(checked, e: SrcExpr) -> Optional[SrcType]:
-    if checked is not None and id(e) in checked.elab.types:
-        return checked.elab.types[id(e)]
-    return None
-
-
-def _match_ground(static: Optional[SrcType], actual: SrcType) -> dict[str, SrcType]:
-    """Match the (possibly open) static type of a closure body against the
-    closed type it is being checked at, yielding a grounding substitution.
-    """
-    out: dict[str, SrcType] = {}
-    if static is None:
-        return out
-
-    def go(s: SrcType, a: SrcType) -> None:
-        match s:
-            case TVar(name):
-                prev = out.setdefault(name, a)
-                if prev != a:
-                    raise SrcTypeError(f"inconsistent grounding for type variable {name}")
-                return
-            case TUnit() if isinstance(a, TUnit):
-                return
-            case TProd(l, r) if isinstance(a, TProd):
-                go(l, a.left); go(r, a.right); return
-            case TSum(l, r) if isinstance(a, TSum):
-                go(l, a.left); go(r, a.right); return
-            case TArrow(d, c) if isinstance(a, TArrow):
-                go(d, a.dom); go(c, a.cod); return
-            case TSusp(b) if isinstance(a, TSusp):
-                go(b, a.body); return
-            case TInd(_, _) if isinstance(a, TInd):
-                if free_tyvars(s):
-                    _match_functor(s, a, out)
-                elif s != a:
-                    raise SrcTypeError("closure type mismatch at an inductive type")
-                return
-        raise SrcTypeError(
-            f"closure static type {pretty_type(s)} does not match {pretty_type(a)}"
-        )
-
-    go(static, actual)
-    return out
-
-
-def _match_functor(s: TInd, a: TInd, out: dict[str, SrcType]) -> None:
-    def gof(fs, fa):
-        match (fs, fa):
-            case (FRec(), FRec()):
-                return
-            case (FConst(ts), FConst(ta)):
-                got(ts, ta)
-                return
-            case (FProd(l1, r1), FProd(l2, r2)) | (FSum(l1, r1), FSum(l2, r2)):
-                gof(l1, l2); gof(r1, r2); return
-            case (FArrow(d1, b1), FArrow(d2, b2)):
-                got(d1, d2); gof(b1, b2); return
-        raise SrcTypeError("closure type mismatch at an inductive type")
-
-    def got(ts, ta):
-        if isinstance(ts, TVar):
-            prev = out.setdefault(ts.name, ta)
-            if prev != ta:
-                raise SrcTypeError(f"inconsistent grounding for type variable {ts.name}")
-            return
-        match (ts, ta):
-            case (TUnit(), TUnit()):
-                return
-            case (TProd(l1, r1), TProd(l2, r2)) | (TSum(l1, r1), TSum(l2, r2)):
-                got(l1, l2); got(r1, r2); return
-            case (TArrow(d1, c1), TArrow(d2, c2)):
-                got(d1, d2); got(c1, c2); return
-            case (TSusp(b1), TSusp(b2)):
-                got(b1, b2); return
-            case (TInd(f1, _), TInd(f2, _)):
-                gof(f1, f2); return
-        raise SrcTypeError("closure type mismatch")
-
-    gof(s.functor, a.functor)
-
-
-def _check_closure_env(checked, e: SrcExpr, env: ValueEnv,
-                       grounding: dict[str, SrcType]) -> None:
-    """Check each environment entry at every instance demanded inside the
-    closure body (lazily, per the recorded variable instantiations).
-    """
-    if checked is None:
-        return  # nothing recorded; body well-typedness was never established
-    for name in free_vars(e):
-        try:
-            val = env.lookup(name)
-        except KeyError:
-            raise SrcTypeError(f"closure environment is missing {name}") from None
-        for inst_ty in _demanded_instances(checked.elab, e, name, grounding):
-            if free_tyvars(inst_ty):
-                continue  # non-ground instance: outside the checkable fragment
-            _check_value(checked, val, inst_ty)
-
-
-def _demanded_instances(elab: Elab, e: SrcExpr, name: str,
-                        grounding: dict[str, SrcType]) -> list[SrcType]:
-    out = []
-    for sub in iter_subexprs(e):
-        if isinstance(sub, Var) and sub.name == name and id(sub) in elab.schemes:
-            scheme = elab.schemes[id(sub)]
-            args = elab.instantiations.get(id(sub), ())
-            mapping = dict(zip(scheme.bound, (subst_tyvars(t, grounding) for t in args)))
-            out.append(subst_tyvars(subst_tyvars(scheme.body, mapping), grounding))
-    return out
+    return CheckedProgram(program, schemes, main_type)

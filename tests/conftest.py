@@ -5,12 +5,15 @@ from pathlib import Path
 import pytest
 
 from costrec.extract import extract_program
-from costrec.source_ast import parse_program
+from costrec.source_ast import iter_subexprs, parse_program
 from costrec.typecheck import TMeta, check_program
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "costrec" / "corpus"
 
 CORPUS_FILES = sorted(p.name for p in CORPUS_DIR.glob("*.src"))
+
+# a local let that is generalized and instantiated implicitly
+POLY_LET = Path(__file__).resolve().parent / "golden" / "poly_let.src"
 
 # program -> function(s) the harness exercises, used by several suites
 CORPUS_FUNCTIONS = {
@@ -57,6 +60,18 @@ def holes(*roots):
         elif dataclasses.is_dataclass(node):
             stack.extend(getattr(node, f.name) for f in dataclasses.fields(node))
     return found
+
+
+# the attributes type checking writes onto the nodes it checks
+DERIVED = ("ty", "instantiation", "generalized")
+
+
+def derived(expr):
+    """What checking wrote onto each node of ``expr``, in ``iter_subexprs``
+    order: a dict of the node's attributes named in ``DERIVED``.
+    """
+    return [{a: vars(node)[a] for a in DERIVED if a in vars(node)}
+            for node in iter_subexprs(expr)]
 
 
 @pytest.fixture(scope="session")

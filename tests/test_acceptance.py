@@ -13,11 +13,12 @@ import zlib
 import pytest
 
 from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted
+from reference import check_value, denote_closed
 from costrec.cost_eval import apply_function, eval_expr, program_env
 from costrec.extract import potential_type
 from costrec.harness import TrialConfig, gen_value, prepare, run_trial, verify_bound
 from costrec.models import (
-    SemEnv, denote, denote_closed, galois_abs, galois_conc, make_model,
+    SemEnv, denote, galois_abs, galois_conc, make_model,
     support_datatypes, value_potential,
 )
 from costrec.rec_lang import RecElab, check_rec
@@ -28,7 +29,6 @@ from costrec.source_ast import (
     EMPTY_ENV, NAT_TYPE, VCons, VInj, VPair, VUnit, numeral_value,
     parse_expr, parse_type, pretty,
 )
-from costrec.typecheck import check_value
 
 NAT_POT = potential_type(NAT_TYPE)
 LIST_NAT_POT = potential_type(parse_type("list<nat>"))

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_FILES, corpus_extracted, corpus_text
+from reference import denote_closed
 from costrec import extract, rec_lang
 from costrec.cost_eval import eval_expr
 from costrec.extract import (
     add_cost, complexity_type, extract_expr, extract_program, potential_type,
 )
-from costrec.models import ExactModel, denote_closed, value_potential
+from costrec.models import ExactModel, value_potential
 from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RecExpr, RFold, RInd, RLam, RLet, ROne, RPair, RPlus,
     RProd, RProj, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero, check_rec,
@@ -20,14 +21,13 @@ from costrec.source_ast import (
     EMPTY_ENV, NAT_TYPE, TArrow, TProd, TSum, TSusp, TUnit, TVar, free_vars,
     numeral_value, parse_expr, parse_program, parse_type, subst_tyvars,
 )
-from costrec.typecheck import Elab, TypeContext, check_program, infer_expr
+from costrec.typecheck import TypeContext, check_program, infer_expr
 
 
 def extract_of(text):
     e = parse_expr(text)
-    elab = Elab()
-    infer_expr(TypeContext({}), e, elab)
-    return extract_expr(e, elab)
+    infer_expr(TypeContext({}), e)
+    return extract_expr(e)
 
 
 def test_unit_extracts_to_zero_cost_star():
@@ -195,7 +195,7 @@ def test_non_core_input_rejected():
     from costrec.source_ast import FRec, MapE, Unit, VUnit
 
     with pytest.raises(ExtractError):
-        extract_expr(MapE(FRec(), "y", VUnit(), Unit()), Elab())
+        extract_expr(MapE(FRec(), "y", VUnit(), Unit()))
 
 
 # ---------------------------------------------------------------------------

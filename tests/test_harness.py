@@ -26,7 +26,7 @@ from costrec.semdom import SNum, UnsupportedFeature, ext
 from costrec.source_ast import (
     VCons, VInj, VPair, VUnit, numeral_value, parse_program, parse_type, pretty,
 )
-from costrec.typecheck import check_program, check_value
+from costrec.typecheck import check_program
 
 
 def test_gen_value_unit():
@@ -224,6 +224,19 @@ def test_non_observable_function_rejected():
     checked = corpus_checked("map.src")
     with pytest.raises(HarnessError):
         prepare(checked, "mapf", ())  # takes a function argument
+
+
+@pytest.mark.parametrize("file,fn", [("copy.src", "copy"), ("rev.src", "rev")])
+def test_prepare_checks_the_extracted_term_once_for_every_model(monkeypatch, file, fn):
+    # copy's complexity and rev's polymorphic potential: every model denotes
+    # the same term, so one check serves them all
+    checks = []
+    check_rec = harness.check_rec
+    monkeypatch.setattr(harness, "check_rec",
+                        lambda *args: checks.append(args[1]) or check_rec(*args))
+    prepared = prepare(corpus_checked(file), fn, MODEL_NAMES)
+    assert len(checks) == 1
+    assert sorted(prepared.denoted) == sorted(MODEL_NAMES)
 
 
 def test_prepared_skips_models_that_reject():

@@ -15,6 +15,7 @@ from conftest import (
     CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted, corpus_text,
     holes,
 )
+from reference import denote_closed, map_macro
 from costrec import harness, models
 from costrec.cli import _parse_at
 from costrec.extract import extract_program, potential_type
@@ -22,14 +23,14 @@ from costrec.cost_eval import apply_function, eval_expr
 from costrec.harness import apply_bound, gen_value, prepare, run_trial
 from costrec.models import (
     MODEL_NAMES, AllConsModel, ExactModel, LowerSizeModel, MergedModel,
-    ModelError, SemEnv, SizeHeightModel, denote, denote_closed,
+    ModelError, SemEnv, SizeHeightModel, denote,
     galois_abs, galois_conc, make_model, observable, support_datatypes,
     value_potential,
 )
 from costrec.rec_lang import (
     RArrow, RC, RCase, RecElab, RecExpr, RInd, RInj, RPair, RProd, RProj, RSConst, RSProd,
     RSRec, RSSum, RSum, RUnit, RUnitE, RVar, RZero, ROne, check_rec,
-    map_macro, subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
+    subst_rec_shape, RConsE, RDestE, RFold, RLam, RApp,
     RPlus, RForall, RLet, RTyApp, RTyLam, pretty_rec_type, rec_free_vars,
     subst_rtyvars,
 )
@@ -313,12 +314,10 @@ def test_exact_cost_equals_operational_cost_for_plus():
 
 def test_exact_extraction_of_numeral_is_structural():
     from costrec.extract import extract_expr
-    from costrec.typecheck import Elab, TypeContext, infer_expr
 
     e = parse_expr("#2")
-    elab = Elab()
-    infer_expr(TypeContext({}), e, elab)
-    cpx = denote_closed(ExactModel(), extract_expr(e, elab))
+    infer_expr(TypeContext({}), e)
+    cpx = denote_closed(ExactModel(), extract_expr(e))
     assert cpx.left == cost(0)
     assert cpx.right == value_potential(ExactModel(), numeral_value(2), NAT_TYPE)
 

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text, holes
+from conftest import (
+    CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text, derived, holes,
+)
 from costrec.cost_eval import apply_function, program_env
 from costrec.harness import gen_value, prepare
 from costrec.source_ast import (
@@ -162,15 +164,15 @@ def test_value_pretty_uses_constructor_names():
 @pytest.mark.parametrize("name", CORPUS_FILES)
 def test_no_hole_outlives_checking(name):
     # extraction, the models and printing read types as they are, so no
-    # hole may survive in the elaboration, the program's annotations, or
-    # the annotations of the values the program computes
+    # hole may survive in the types checking wrote onto the nodes, the
+    # program's annotations, or the annotations of the values the program
+    # computes
     checked = check_program(parse_program(corpus_text(name)))
-    elab = checked.elab
-    assert elab.types
-    assert not holes(elab.types, elab.instantiations, elab.schemes,
-                      checked.schemes, checked.main_type)
+    assert not holes(checked.schemes, checked.main_type)
     for bname, expr in checked.program.bindings:
-        assert not holes(expr), bname
+        facts = derived(expr)
+        assert facts[0]["ty"] is not None, bname
+        assert not holes(expr, facts), bname
     env, _ = program_env(checked.program)
     rng = random.Random(29)
     for fn in CORPUS_FUNCTIONS[name]:

@@ -1,17 +1,21 @@
 import pytest
 
-from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text
+from conftest import (
+    CORPUS_DIR, CORPUS_FILES, CORPUS_FUNCTIONS, POLY_LET, corpus_checked, corpus_text,
+    derived, holes,
+)
+from reference import check_value, is_core
 from costrec.cost_eval import apply_function, eval_expr, program_env
 from costrec.harness import gen_value
 from costrec.source_ast import (
-    BOOL, NAT_TYPE, EMPTY_ENV, MapE, FRec, Lam, Program, TArrow, TProd, TSum,
-    TSusp, TUnit, TVar, TypeScheme, Unit, Var, VUnit, numeral_value, parse_expr,
-    parse_program, parse_type, pretty_type,
+    BOOL, NAT_TYPE, EMPTY_ENV, Cons, Inj, Let, MapE, FRec, Lam, Program, TArrow,
+    TProd, TSum, TSusp, TUnit, TVar, TypeScheme, Unit, Var, VUnit, iter_subexprs,
+    numeral_value, parse_expr, parse_program, parse_type, pretty_type,
 )
 from costrec import typecheck
 from costrec.typecheck import (
-    Elab, SrcTypeError, TypeContext, check_program, check_value, fresh_meta,
-    infer_expr, is_core, zonk,
+    Elab, SrcTypeError, TypeContext, check_program, fresh_meta, infer_expr,
+    zonk,
 )
 import random
 
@@ -107,15 +111,18 @@ def test_checking_zonks_each_entry_once(monkeypatch):
     finalize = Elab._finalize
 
     def counting(self, pos=None):
-        finalized.append([id(e) for e, _ in self._fresh])
+        finalized.append([e for e, _ in self.pending])
         finalize(self, pos)
 
     monkeypatch.setattr(Elab, "_finalize", counting)
     checked = check_program(parse_program(src))
     assert len(finalized) == n
     assert len({len(batch) for batch in finalized}) == 1
-    keys = [key for batch in finalized for key in batch]
-    assert len(keys) == len(set(keys)) == len(checked.elab.types)
+    # each node is finalized once, and every node is
+    nodes = [e for batch in finalized for e in batch]
+    every = [e for _, expr in checked.program.bindings for e in iter_subexprs(expr)]
+    assert len({id(e) for e in nodes}) == len(nodes) == len(every)
+    assert {id(e) for e in nodes} == {id(e) for e in every}
 
 
 def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
@@ -134,18 +141,19 @@ def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
 
 
 def test_checker_state_is_linear_in_the_bindings():
-    # the elaboration keeps a fixed number of entries per node, and no copy
-    # of the context, so its size per binding does not grow with the program
-    def entries(elab):
-        tables = [t for t in vars(elab).values() if isinstance(t, dict)]
-        return sum(len(t) + sum(len(v) for v in t.values() if isinstance(v, dict))
-                   for t in tables)
+    # checking writes a fixed number of attributes onto each node, and no
+    # copy of the context, so what it keeps per binding does not grow with
+    # the program
+    def attributes(checked):
+        return sum(len(vars(node)) + sum(len(v) for v in facts.values() if isinstance(v, tuple))
+                   for _, expr in checked.program.bindings
+                   for node, facts in zip(iter_subexprs(expr), derived(expr)))
 
     per_binding = []
     for n in (100, 400):
         checked = check_program(parse_program(
             "".join(f"let f{i} = fn (x: nat) => cons(x, nil);\n" for i in range(n))))
-        per_binding.append(entries(checked.elab) / n)
+        per_binding.append(attributes(checked) / n)
     assert per_binding[0] == per_binding[1]
 
 
@@ -180,10 +188,39 @@ def test_checking_a_program_twice_gives_equal_schemes(name):
     # program; the second must derive the same types from them
     program = parse_program(corpus_text(name))
     first = check_program(program)
+    facts = [derived(expr) for _, expr in program.bindings]
     second = check_program(program)
     assert second.schemes == first.schemes
     assert second.main_type == first.main_type
-    assert list(second.elab.types.values()) == list(first.elab.types.values())
+    assert [derived(expr) for _, expr in program.bindings] == facts
+
+
+@pytest.mark.parametrize("path", [CORPUS_DIR / n for n in CORPUS_FILES] + [POLY_LET],
+                         ids=lambda p: p.name)
+def test_checking_writes_the_derivation_onto_every_node(path):
+    checked = check_program(parse_program(path.read_text()))
+    for name, expr in checked.program.bindings:
+        assert expr.ty == checked.schemes[name].body
+        for node in iter_subexprs(expr):
+            assert not holes(node.ty), (name, node)
+            if isinstance(node, Var):
+                assert not holes(node.instantiation), (name, node)
+            if isinstance(node, Let):
+                assert isinstance(node.generalized, tuple), (name, node)
+            if isinstance(node, (Cons, Inj)):
+                assert node.ty is node.annotation
+
+
+def test_generalized_local_let_is_written_onto_its_nodes():
+    checked = check_program(parse_program(POLY_LET.read_text()))
+    lets = {n.binder: n for _, expr in checked.program.bindings
+            for n in iter_subexprs(expr) if isinstance(n, Let)}
+    assert lets["d"].generalized == ("a",)
+    assert lets["e"].generalized == ()  # b is free in the context
+    uses = [n for n in iter_subexprs(lets["d"].body) if isinstance(n, Var) and n.name == "d"]
+    assert [u.instantiation for u in uses] == [(NAT_TYPE,), (TUnit(),)]
+    assert [u.ty for u in uses] == [TArrow(NAT_TYPE, TProd(NAT_TYPE, NAT_TYPE)),
+                                    TArrow(TUnit(), TProd(TUnit(), TUnit()))]
 
 
 def test_scheme_recorded_for_top_level_bindings():
