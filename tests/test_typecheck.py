@@ -118,11 +118,11 @@ def test_checking_zonks_each_entry_once(monkeypatch):
     checked = check_program(parse_program(src))
     assert len(finalized) == n
     assert len({len(batch) for batch in finalized}) == 1
-    # each node is finalized once, and every node is
     nodes = [e for batch in finalized for e in batch]
-    every = [e for _, expr in checked.program.bindings for e in iter_subexprs(expr)]
-    assert len({id(e) for e in nodes}) == len(nodes) == len(every)
-    assert {id(e) for e in nodes} == {id(e) for e in every}
+    finalized_ids = {id(e) for e in nodes}
+    assert len(finalized_ids) == len(nodes)  # each node once
+    assert finalized_ids == {id(e) for _, expr in checked.program.bindings
+                             for e in iter_subexprs(expr)}  # and every node
 
 
 def test_zonks_per_binding_do_not_grow_with_the_bindings_before_it(monkeypatch):
