@@ -189,19 +189,17 @@ class _Pool:
         self.left += other.left
 
 
-def gen_value(ty: S.SrcType, size_budget: int, rng: random.Random,
-              style: Optional[str] = None) -> S.Value:
+def gen_value(ty: S.SrcType, size_budget: int, rng: random.Random) -> S.Value:
     """A well-typed value with total constructor count at most the budget.
     The style draw forces minimum frequencies for boundary shapes: minimal
     values, spines, and balanced trees.
     """
     if not observable(ty):
         raise HarnessError(f"cannot generate values at {S.pretty_type(ty)}")
-    if style is None:
-        roll = rng.random()
-        style = ("minimal" if roll < 0.08 else
-                 "spine" if roll < 0.25 else
-                 "balanced" if roll < 0.40 else "random")
+    roll = rng.random()
+    style = ("minimal" if roll < 0.08 else
+             "spine" if roll < 0.25 else
+             "balanced" if roll < 0.40 else "random")
     least = _min_ctors_type(ty)
     if least == float("inf"):
         raise HarnessError(f"type {S.pretty_type(ty)} has no finite values")
@@ -431,46 +429,23 @@ def verify_bound(checked: T.CheckedProgram, fn: str, cfg: TrialConfig,
     return report
 
 
-# models whose canonical value embedding coincides share the computation
-_EMBEDDING_KIND = {
-    "size": "size",
-    "lower": "size",
-    "height": "height",
-    "allcons": "allcons",
-    "merged": "allcons",
-    "exact": "exact",
-}
-
-
 def run_trial(prepared: PreparedFn, args: list[S.Value], index: int,
               bound_cache: Optional[dict] = None) -> TrialRecord:
+    if bound_cache is None:
+        bound_cache = {}
     res = apply_function(prepared.env, prepared.name, args)
     cost = res.cost
     results: dict = {}
     ok = True
     cost_by_model: dict[str, object] = {}
-    embeddings: dict = {}
-
-    def embed(model, value, ty, slot):
-        kind = (_EMBEDDING_KIND.get(model.name, model.name), slot)
-        if kind not in embeddings:
-            embeddings[kind] = value_potential(model, value, ty)
-        return embeddings[kind]
-
     for name, (model, base_cost, pot) in prepared.denoted.items():
         try:
-            arg_pots = [embed(model, v, t, i)
-                        for i, (v, t) in enumerate(zip(args, prepared.arg_types))]
-            key = None
-            if bound_cache is not None:
-                key = (name, tuple(arg_pots))
-            if key is not None and key in bound_cache:
-                bound_cost, bound_pot = bound_cache[key]
-            else:
-                bound_cost, bound_pot = apply_bound(model, base_cost, pot, arg_pots)
-                if key is not None:
-                    bound_cache[key] = (bound_cost, bound_pot)
-            result_pot = embed(model, res.value, prepared.result_type, "result")
+            arg_pots = [value_potential(model, v, t) for v, t in zip(args, prepared.arg_types)]
+            key = (name, tuple(arg_pots))
+            if key not in bound_cache:
+                bound_cache[key] = apply_bound(model, base_cost, pot, arg_pots)
+            bound_cost, bound_pot = bound_cache[key]
+            result_pot = value_potential(model, res.value, prepared.result_type)
             entry = {"cost_bound": str(bound_cost)}
             if model.direction == "upper":
                 cost_ok = ext(cost) <= bound_cost

@@ -29,6 +29,12 @@ the size-map entries its decompositions keep, the leaves of a decomposition
 product splits and its ``_decompose``.  Only polynomial shape functors
 (sums, products, constants, the recursion variable) are enumerable; arrow
 shapes raise ``UnsupportedFeature`` except in the exact model.
+
+A trial value of inductive type is embedded by one walk for all six models
+(``_walk``): it yields the main constructor count, the depth of the
+deepest main constructor, the census size map and the exact embedding at
+once, and the ``VCons`` keeps them in its ``_embedding`` slot, so each
+model's ``embed_inductive`` only reads its part.
 """
 
 from __future__ import annotations
@@ -234,7 +240,7 @@ class Model:
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
         """The canonical potential of a source value of inductive type ty
         (see ``value_potential``): what replaying ``cons`` at each of its
-        constructors would give.
+        constructors would give, read from the value's ``Embedding``.
         """
         raise NotImplementedError
 
@@ -501,7 +507,8 @@ class SizeHeightModel(Model):
         return SNum("size", ONE + self.size_of(delta.functor, z))
 
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
-        return SNum("size", ExtNat(_main_constructors(v, ty, self.mode == "height")))
+        embedding = _embedding(v, ty)
+        return embedding.height if self.mode == "height" else embedding.size
 
     def _main_count(self, delta: RInd, x: SemValue) -> ExtNat:
         if not isinstance(x, SNum):
@@ -654,7 +661,7 @@ class AllConsModel(Model):
         return SMap(sm.set(delta, sm.get(delta) + ONE))
 
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
-        return SMap(_census(v, ty))
+        return _embedding(v, ty).census
 
     # -- decomposition ------------------------------------------------------------
 
@@ -822,7 +829,7 @@ class ExactModel(Model):
         return XCons(delta, z)
 
     def embed_inductive(self, v: S.Value, ty: S.TInd) -> SemValue:
-        return _exact_value(v, ty)
+        return _embedding(v, ty).exact
 
     def dest(self, delta: RInd, x: SemValue) -> SemValue:
         if not isinstance(x, XCons):
@@ -1022,8 +1029,9 @@ def _observable_shape(f: S.ShapeFunctor) -> bool:
 def value_potential(model: Model, v: S.Value, ty: S.SrcType) -> SemValue:
     """The least potential bounding a concrete first-order value: unit,
     pairs and injections above the first inductive type go to star, pairs
-    and the model's injection, and a value of inductive type is measured by
-    the model's ``embed_inductive`` in one iterative walk.
+    and the model's injection.  A value of inductive type is walked once for
+    all six models, by ``_walk``, and keeps the result on its ``VCons``; the
+    model's ``embed_inductive`` reads its part.
     """
     if not observable(ty):
         raise ModelError(f"type {S.pretty_type(ty)} is not observable")
@@ -1053,138 +1061,91 @@ def _uninhabited(v: S.Value, node, ind: Optional[S.TInd]) -> ModelError:
     return ModelError(f"value {S.pretty(v)} does not inhabit {S.pretty_type(ty)}")
 
 
-# The walks below keep a stack of (value, node) where a node is a type or a
-# position in the functor of the datatype being walked; _REC stands for a
-# main constructor of that datatype.
-_REC = S.FRec()
+@dataclass(slots=True, frozen=True)
+class Embedding:
+    """The potentials of a value of inductive type ``ty`` in the models."""
+
+    ty: S.TInd
+    size: SNum  # the main constructor count: size and lower
+    height: SNum  # the depth of the deepest main constructor
+    census: SMap  # allcons and merged
+    exact: SemValue
 
 
-def _main_constructors(v: S.Value, ty: S.TInd, height: bool) -> int:
-    """The main constructors of a value of inductive type ty, following only
-    the recursive positions of ty's functor: how many there are, or with
-    ``height`` how deeply they nest.  Constants hold none of them.
+def _embedding(v: S.Value, ty: S.TInd) -> Embedding:
+    """``v``'s embedding at ``ty``, walked once and kept in its slot.  A
+    value also held at another type (a generalized ``nil``, say) is walked
+    again there, and the slot keeps the first.
     """
-    functor = ty.functor
-    best = 0
-    stack = [(v, _REC, 1)]
+    held = getattr(v, "_embedding", None)
+    if held is not None and (held.ty is ty or held.ty == ty):
+        return held
+    out = _walk(v, ty)
+    if held is None:
+        v._embedding = out
+    return out
+
+
+def _walk(v: S.Value, ty: S.TInd) -> Embedding:
+    """One walk of a value of inductive type ty on an explicit stack of
+    (value, node, datatype, occurrence, depth), where a node is a type or a
+    position in the datatype's functor.  Occurrence 0 is the value itself,
+    and each value of another datatype at a constant position starts one
+    more, which counts its own main constructors; depth nests those of
+    occurrence 0.  The census takes the most that any occurrence of a
+    datatype holds, as the size maps' join does (nested datatypes are
+    closed, so ty never occurs in its own constants).  The exact value is
+    built bottom-up: a class on the stack builds one from the results just
+    made, and hashes it, so hashing the root never recurses.
+    """
+    deltas: list = []  # per occurrence: its datatype
+    counts: list = []  # per occurrence: its main constructors
+    out: list = []  # exact values not yet used
+    height = 0
+    stack = [(v, ty, ty, 0, 1)]
     pop, push = stack.pop, stack.append
     while stack:
-        v, f, depth = pop()
-        cls = type(f)
-        if cls is S.FRec:
-            if not isinstance(v, S.VCons):
-                raise _uninhabited(v, f, ty)
-            best = max(best, depth) if height else best + 1
-            push((v.arg, functor, depth + 1))
-        elif cls is S.FSum:
-            if not isinstance(v, S.VInj):
-                raise _uninhabited(v, f, ty)
-            push((v.arg, f.left if v.index == 0 else f.right, depth))
-        elif cls is S.FProd:
-            if not isinstance(v, S.VPair):
-                raise _uninhabited(v, f, ty)
-            push((v.left, f.left, depth))
-            push((v.right, f.right, depth))
-    return best
-
-
-def _census(v: S.Value, ty: S.TInd) -> SizeMap:
-    """Constructor counts of a value of inductive type ty: its main
-    constructors at ty, and at every other datatype the most that any one
-    value of it at a constant position holds, as the size maps' join takes.
-    Nested datatypes are closed, so ty never occurs inside its own
-    constants and the two kinds of entry never meet.
-    """
-    counts: dict = {}
-    roots = [(v, ty)]
-    while roots:
-        root, ind = roots.pop()
-        functor = ind.functor
-        n = 0
-        stack = [(root, _REC)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            v, node = pop()
-            cls = type(node)
-            if cls is S.FRec:
-                if not isinstance(v, S.VCons):
-                    raise _uninhabited(v, node, ind)
-                n += 1
-                push((v.arg, functor))
-            elif cls is S.FSum or cls is S.TSum:
-                if not isinstance(v, S.VInj):
-                    raise _uninhabited(v, node, ind)
-                push((v.arg, node.left if v.index == 0 else node.right))
-            elif cls is S.FProd or cls is S.TProd:
-                if not isinstance(v, S.VPair):
-                    raise _uninhabited(v, node, ind)
-                push((v.left, node.left))
-                push((v.right, node.right))
-            elif cls is S.FConst:
-                push((v, node.type))
-            elif cls is S.TInd:
-                roots.append((v, node))
-            elif not isinstance(v, S.VUnit):
-                raise _uninhabited(v, node, ind)
-        delta = potential_type(ind)
-        counts[delta] = max(counts.get(delta, 0), n)
-    return SizeMap.of(counts)
-
-
-# markers on the exact walk's stack: build from the results just made
-_MK_PAIR, _MK_INJ, _MK_CONS = object(), object(), object()
-
-
-def _exact_value(v: S.Value, ty: S.TInd) -> SemValue:
-    """A value of inductive type ty as the exact model's XCons, XInj, SPair
-    and SStar, built bottom-up from an explicit stack.  Each node is hashed
-    as it is built, when its children's hashes are already kept, so hashing
-    the root never recurses.
-    """
-    out: list = []
-    stack = [(v, ty, ty)]  # (value, node, the datatype whose functor node is in)
-    pop, push = stack.pop, stack.append
-    while stack:
-        v, node, ind = pop()
-        if node is _MK_PAIR:
-            right = out.pop()
-            out[-1] = SPair(out[-1], right)
-            hash(out[-1])
-            continue
-        if node is _MK_INJ:
-            out[-1] = XInj(v, out[-1])
-            hash(out[-1])
-            continue
-        if node is _MK_CONS:
-            out[-1] = XCons(v, out[-1])
+        v, node, ind, occ, depth = pop()
+        if node is SPair or node is XInj or node is XCons:
+            arg = out.pop()
+            out.append(SPair(out.pop(), arg) if node is SPair else node(v, arg))
             hash(out[-1])
             continue
         cls = type(node)
         if cls is S.FRec or cls is S.TInd:
             if cls is S.TInd:
-                ind = node
+                ind, occ, depth = node, len(counts), 1
+                deltas.append(potential_type(node))
+                counts.append(0)
             if not isinstance(v, S.VCons):
                 raise _uninhabited(v, node, ind)
-            push((potential_type(ind), _MK_CONS, None))
-            push((v.arg, ind.functor, ind))
+            counts[occ] += 1
+            if occ == 0 and depth > height:
+                height = depth
+            push((deltas[occ], XCons, None, 0, 0))
+            push((v.arg, ind.functor, ind, occ, depth + 1))
         elif cls is S.FSum or cls is S.TSum:
             if not isinstance(v, S.VInj):
                 raise _uninhabited(v, node, ind)
-            push((v.index, _MK_INJ, None))
-            push((v.arg, node.left if v.index == 0 else node.right, ind))
+            push((v.index, XInj, None, 0, 0))
+            push((v.arg, node.left if v.index == 0 else node.right, ind, occ, depth))
         elif cls is S.FProd or cls is S.TProd:
             if not isinstance(v, S.VPair):
                 raise _uninhabited(v, node, ind)
-            push((None, _MK_PAIR, None))
-            push((v.right, node.right, ind))
-            push((v.left, node.left, ind))
+            push((None, SPair, None, 0, 0))
+            push((v.right, node.right, ind, occ, depth))
+            push((v.left, node.left, ind, occ, depth))
         elif cls is S.FConst:
-            push((v, node.type, ind))
+            push((v, node.type, ind, occ, depth))
         elif isinstance(v, S.VUnit):
             out.append(SStar())
         else:
             raise _uninhabited(v, node, ind)
-    return out[0]
+    census: dict = {}
+    for delta, n in zip(deltas, counts):
+        census[delta] = max(census.get(delta, 0), n)
+    return Embedding(ty, SNum("size", ExtNat(counts[0])), SNum("size", ExtNat(height)),
+                     SMap(SizeMap.of(census)), out[0])
 
 
 MODEL_NAMES = ("exact", "size", "height", "allcons", "merged", "lower")

@@ -841,48 +841,3 @@ def _pre(e: RecExpr, prec: int) -> str:
             s = f"let {_clean(x)} = {_pre(a, 0)} in {_pre(b, 0)}"
             return f"({s})" if prec > 0 else s
     raise RecTypeError(f"not a recurrence expression: {e!r}")
-
-
-def rec_alpha_eq(a: RecExpr, b: RecExpr, env: Optional[dict] = None) -> bool:
-    """Alpha equivalence of recurrence terms (term binders only)."""
-    env = env or {}
-
-    def under(x, y, p, q):
-        sub = dict(env)
-        sub[x] = y
-        return rec_alpha_eq(p, q, sub)
-
-    match (a, b):
-        case (RVar(x), RVar(y)):
-            return env.get(x, x) == y
-        case (RZero(), RZero()) | (ROne(), ROne()) | (RUnitE(), RUnitE()):
-            return True
-        case (RPlus(l1, r1), RPlus(l2, r2)) | (RPair(l1, r1), RPair(l2, r2)):
-            return rec_alpha_eq(l1, l2, env) and rec_alpha_eq(r1, r2, env)
-        case (RProj(i, x), RProj(j, y)):
-            return i == j and rec_alpha_eq(x, y, env)
-        case (RInj(i, t1, x), RInj(j, t2, y)):
-            return i == j and t1 == t2 and rec_alpha_eq(x, y, env)
-        case (RCase(s1, x0, t0, b0, x1, t1, b1), RCase(s2, y0, u0, c0, y1, u1, c1)):
-            return (
-                rec_alpha_eq(s1, s2, env) and t0 == u0 and t1 == u1
-                and under(x0, y0, b0, c0) and under(x1, y1, b1, c1)
-            )
-        case (RLam(x, t1, b1), RLam(y, t2, b2)):
-            return t1 == t2 and under(x, y, b1, b2)
-        case (RApp(f1, a1), RApp(f2, a2)):
-            return rec_alpha_eq(f1, f2, env) and rec_alpha_eq(a1, a2, env)
-        case (RTyLam(a1, b1), RTyLam(a2, b2)):
-            return a1 == a2 and rec_alpha_eq(b1, b2, env)
-        case (RTyApp(f1, t1), RTyApp(f2, t2)):
-            return t1 == t2 and rec_alpha_eq(f1, f2, env)
-        case (RConsE(t1, x), RConsE(t2, y)) | (RDestE(t1, x), RDestE(t2, y)):
-            return t1 == t2 and rec_alpha_eq(x, y, env)
-        case (RFold(t1, s1, x, xt1, b1), RFold(t2, s2, y, xt2, b2)):
-            return (
-                t1 == t2 and xt1 == xt2 and rec_alpha_eq(s1, s2, env)
-                and under(x, y, b1, b2)
-            )
-        case (RLet(x, a1, b1), RLet(y, a2, b2)):
-            return rec_alpha_eq(a1, a2, env) and under(x, y, b1, b2)
-    return False

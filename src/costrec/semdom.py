@@ -272,6 +272,35 @@ class XCons:
     delta: object  # closed inductive RecType
     arg: "SemValue"
 
+    def __eq__(self, other):
+        """On an explicit stack, so a long chain does not deepen the Python
+        stack.  Constructors, injections and pairs differ if both keep their
+        hashes and these differ, and otherwise compare their parts; other
+        values use their own ``==``.
+        """
+        if type(other) is not XCons:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            cls = type(a)
+            if a is b:
+                continue
+            if cls is not type(b):
+                return False
+            if cls is XCons or cls is XInj or cls is SPair:
+                if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                    return False
+                if cls is SPair:
+                    stack += [(a.right, b.right), (a.left, b.left)]
+                elif a.delta != b.delta if cls is XCons else a.index != b.index:
+                    return False
+                else:
+                    stack.append((a.arg, b.arg))
+            elif a != b:
+                return False
+        return True
+
     def __str__(self):
         return f"cons({self.arg})"
 

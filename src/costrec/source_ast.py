@@ -272,7 +272,7 @@ def free_tyvars_shape(f: ShapeFunctor) -> set[str]:
 
 @dataclass(frozen=True, eq=False)
 class SrcExpr:
-    """Base class; nodes compare by identity (alpha_eq compares structure).
+    """Base class; nodes compare by identity.
     Type checking sets attributes that are not fields: ``ty`` on each node,
     ``instantiation`` on a ``Var`` and ``generalized`` on a ``Let``.
     """
@@ -480,114 +480,9 @@ class VDelayClo(Value):
 class VCons(Value):
     annotation: SrcType
     arg: Value
-
-
-def value_eq(a: Value, b: Value) -> bool:
-    """Structural equality on values; closures compare their code (by alpha
-    equivalence) and the environments restricted to free variables.
-    """
-    match (a, b):
-        case (VUnit(), VUnit()):
-            return True
-        case (VPair(l1, r1), VPair(l2, r2)):
-            return value_eq(l1, l2) and value_eq(r1, r2)
-        case (VInj(i, v), VInj(j, w)):
-            return i == j and value_eq(v, w)
-        case (VCons(t1, v), VCons(t2, w)):
-            return t1 == t2 and value_eq(v, w)
-        case (VLamClo(l1, e1), VLamClo(l2, e2)):
-            return alpha_eq(l1, l2) and _env_eq(e1, e2, free_vars(l1))
-        case (VDelayClo(x1, e1), VDelayClo(x2, e2)):
-            return alpha_eq(x1, x2) and _env_eq(e1, e2, free_vars(x1))
-    return False
-
-
-def _env_eq(a: ValueEnv, b: ValueEnv, names: set[str]) -> bool:
-    for n in names:
-        try:
-            va, vb = a.lookup(n), b.lookup(n)
-        except KeyError:
-            return False
-        if not value_eq(va, vb):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Free variables and alpha equivalence
-# ---------------------------------------------------------------------------
-
-
-def free_vars(e: SrcExpr) -> set[str]:
-    match e:
-        case Var(name):
-            return {name}
-        case Unit():
-            return set()
-        case Pair(l, r):
-            return free_vars(l) | free_vars(r)
-        case Proj(_, a) | Inj(_, _, a) | Delay(a) | Force(a) | Cons(_, a) | Dest(_, a):
-            return free_vars(a)
-        case Case(s, x0, b0, x1, b1):
-            return free_vars(s) | (free_vars(b0) - {x0}) | (free_vars(b1) - {x1})
-        case Lam(x, _, b):
-            return free_vars(b) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Fold(_, s, x, b, _):
-            return free_vars(s) | (free_vars(b) - {x})
-        case Let(x, bound, body):
-            return free_vars(bound) | (free_vars(body) - {x})
-        case MapE(_, _, _, arg):
-            # a value holds no variables: closures are closed by their
-            # environments
-            return free_vars(arg)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
-    """Structural equality modulo renaming of bound term variables."""
-    env = env or {}
-
-    def look(x: str) -> str:
-        return env.get(x, x)
-
-    def under(x: str, y: str, *pairs) -> bool:
-        sub = dict(env)
-        sub[x] = y
-        return all(alpha_eq(p, q, sub) for p, q in pairs)
-
-    match (a, b):
-        case (Var(x, i1), Var(y, i2)):
-            return look(x) == y and (i1 or ()) == (i2 or ())
-        case (Unit(), Unit()):
-            return True
-        case (Pair(l1, r1), Pair(l2, r2)):
-            return alpha_eq(l1, l2, env) and alpha_eq(r1, r2, env)
-        case (Proj(i, x), Proj(j, y)):
-            return i == j and alpha_eq(x, y, env)
-        case (Inj(i, t1, x), Inj(j, t2, y)):
-            return i == j and t1 == t2 and alpha_eq(x, y, env)
-        case (Case(s1, x0, b0, x1, b1), Case(s2, y0, c0, y1, c1)):
-            return (
-                alpha_eq(s1, s2, env)
-                and under(x0, y0, (b0, c0))
-                and under(x1, y1, (b1, c1))
-            )
-        case (Lam(x, t1, b1), Lam(y, t2, b2)):
-            return t1 == t2 and under(x, y, (b1, b2))
-        case (App(f1, a1), App(f2, a2)):
-            return alpha_eq(f1, f2, env) and alpha_eq(a1, a2, env)
-        case (Delay(x), Delay(y)) | (Force(x), Force(y)):
-            return alpha_eq(x, y, env)
-        case (Cons(t1, x), Cons(t2, y)) | (Dest(t1, x), Dest(t2, y)):
-            return t1 == t2 and alpha_eq(x, y, env)
-        case (Fold(t1, s1, x, b1, r1), Fold(t2, s2, y, b2, r2)):
-            return (t1 == t2 and r1 == r2
-                    and alpha_eq(s1, s2, env) and under(x, y, (b1, b2)))
-        case (Let(x, e1, b1), Let(y, e2, b2)):
-            return alpha_eq(e1, e2, env) and under(x, y, (b1, b2))
-    return False
+    # its potentials in the models, filled once by the first model that
+    # embeds it (``models.value_potential``)
+    _embedding: object = field(default=None, init=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +970,7 @@ class _Parser:
             # bind the constructor arguments via (left-nested) projections of y
             for j, b in enumerate(binders):
                 body = Let(b, _project(Var(y), j, len(binders)), body)
-            branch_exprs.append(body if binders else _subst_unused(body, y))
+            branch_exprs.append(body)  # a nullary branch leaves y unused
         case = Case(Var(w), y, branch_exprs[0], y, branch_exprs[1])
         return Fold(delta, scrut, w, case, res, pos=pos)
 
@@ -1288,10 +1183,6 @@ def _project(e: SrcExpr, j: int, n: int) -> SrcExpr:
     if j == n - 1:
         return Proj(1, e)
     return _project(Proj(0, e), j, n - 1)
-
-
-def _subst_unused(body: SrcExpr, y: str) -> SrcExpr:
-    return body  # nullary branch: y is simply unused
 
 
 def _type_to_functor(ty: SrcType, tvar: str) -> ShapeFunctor:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import signal
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from costrec.extract import extract_program
 from costrec.source_ast import iter_subexprs, parse_program
 from costrec.typecheck import TMeta, check_program
+
+# a test still running after this long fails with TimeoutError instead of
+# holding the suite: far above the slowest test (about 4 s) and above the
+# 120 s that acceptance 7 allows itself, so that bound always fires first
+TEST_TIME_LIMIT_S = 300
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "src" / "costrec" / "corpus"
 
@@ -77,3 +83,25 @@ def derived(expr):
 @pytest.fixture(scope="session")
 def corpus():
     return {name: corpus_checked(name) for name in CORPUS_FILES}
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Run the test under a ``SIGALRM`` that raises ``TimeoutError`` in it
+    after ``TEST_TIME_LIMIT_S``.  The alarm also interrupts a wait in
+    ``Thread.join``, where the CLI waits for its deep-stack thread.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,7 +5,10 @@
 * ``is_core``: no ``map`` node occurs (the definition of the core language);
 * ``map_macro``: the structural map macro on recurrence terms, which the
   models apply semantically through ``Model.map_shape``;
-* ``denote_closed``: type check a closed recurrence and denote it.
+* ``denote_closed``: type check a closed recurrence and denote it;
+* ``value_eq``, ``free_vars``, ``alpha_eq`` and ``rec_alpha_eq``: structural
+  equality of source values, and alpha equivalence of source and recurrence
+  terms, which the tests compare results with.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ from typing import Optional
 
 from costrec.models import Model, SemEnv, denote
 from costrec.rec_lang import (
-    RApp, RCase, RecElab, RecExpr, RecShape, RecType, RecTypeError, RInj,
-    RLam, RPair, RProj, RSArrow, RSConst, RSProd, RSRec, RSSum, RVar,
+    RApp, RCase, RConsE, RDestE, RecElab, RecExpr, RecShape, RecType,
+    RecTypeError, RFold, RInj, RLam, RLet, ROne, RPair, RPlus, RProj, RSArrow,
+    RSConst, RSProd, RSRec, RSSum, RTyApp, RTyLam, RUnitE, RVar, RZero,
     check_rec, rec_gensym, subst_rec, subst_rec_shape,
 )
 from costrec.semdom import SemValue
 from costrec.source_ast import (
-    FArrow, FConst, FProd, FRec, FSum, MapE, SrcExpr, SrcType, TArrow, TInd,
-    TProd, TSum, TSusp, TUnit, TVar, Value, ValueEnv, Var, VCons, VDelayClo,
-    VInj, VLamClo, VPair, VUnit, free_tyvars, free_vars, iter_subexprs,
+    App, Case, Cons, Delay, Dest, FArrow, FConst, Fold, Force, FProd, FRec,
+    FSum, Inj, Lam, Let, MapE, Pair, Proj, SrcExpr, SrcType, TArrow, TInd,
+    TProd, TSum, TSusp, TUnit, TVar, Unit, Value, ValueEnv, Var, VCons,
+    VDelayClo, VInj, VLamClo, VPair, VUnit, free_tyvars, iter_subexprs,
     pretty, pretty_type, subst_shape, subst_tyvars,
 )
 from costrec.typecheck import CheckedProgram, SrcTypeError
@@ -242,3 +247,156 @@ def denote_closed(model: Model, e: RecExpr) -> SemValue:
     elab = RecElab()
     check_rec({}, e, elab)
     return denote(model, SemEnv(), e, elab)
+
+
+# ---------------------------------------------------------------------------
+# Structural equality and alpha equivalence
+# ---------------------------------------------------------------------------
+
+
+def value_eq(a: Value, b: Value) -> bool:
+    """Structural equality on values; closures compare their code (by alpha
+    equivalence) and the environments restricted to free variables.
+    """
+    match (a, b):
+        case (VUnit(), VUnit()):
+            return True
+        case (VPair(l1, r1), VPair(l2, r2)):
+            return value_eq(l1, l2) and value_eq(r1, r2)
+        case (VInj(i, v), VInj(j, w)):
+            return i == j and value_eq(v, w)
+        case (VCons(t1, v), VCons(t2, w)):
+            return t1 == t2 and value_eq(v, w)
+        case (VLamClo(l1, e1), VLamClo(l2, e2)):
+            return alpha_eq(l1, l2) and _env_eq(e1, e2, free_vars(l1))
+        case (VDelayClo(x1, e1), VDelayClo(x2, e2)):
+            return alpha_eq(x1, x2) and _env_eq(e1, e2, free_vars(x1))
+    return False
+
+
+def _env_eq(a: ValueEnv, b: ValueEnv, names: set[str]) -> bool:
+    for n in names:
+        try:
+            va, vb = a.lookup(n), b.lookup(n)
+        except KeyError:
+            return False
+        if not value_eq(va, vb):
+            return False
+    return True
+
+
+def free_vars(e: SrcExpr) -> set[str]:
+    match e:
+        case Var(name):
+            return {name}
+        case Unit():
+            return set()
+        case Pair(l, r):
+            return free_vars(l) | free_vars(r)
+        case Proj(_, a) | Inj(_, _, a) | Delay(a) | Force(a) | Cons(_, a) | Dest(_, a):
+            return free_vars(a)
+        case Case(s, x0, b0, x1, b1):
+            return free_vars(s) | (free_vars(b0) - {x0}) | (free_vars(b1) - {x1})
+        case Lam(x, _, b):
+            return free_vars(b) - {x}
+        case App(f, a):
+            return free_vars(f) | free_vars(a)
+        case Fold(_, s, x, b, _):
+            return free_vars(s) | (free_vars(b) - {x})
+        case Let(x, bound, body):
+            return free_vars(bound) | (free_vars(body) - {x})
+        case MapE(_, _, _, arg):
+            # a value holds no variables: closures are closed by their
+            # environments
+            return free_vars(arg)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def alpha_eq(a: SrcExpr, b: SrcExpr, env: Optional[dict] = None) -> bool:
+    """Structural equality modulo renaming of bound term variables."""
+    env = env or {}
+
+    def look(x: str) -> str:
+        return env.get(x, x)
+
+    def under(x: str, y: str, *pairs) -> bool:
+        sub = dict(env)
+        sub[x] = y
+        return all(alpha_eq(p, q, sub) for p, q in pairs)
+
+    match (a, b):
+        case (Var(x, i1), Var(y, i2)):
+            return look(x) == y and (i1 or ()) == (i2 or ())
+        case (Unit(), Unit()):
+            return True
+        case (Pair(l1, r1), Pair(l2, r2)):
+            return alpha_eq(l1, l2, env) and alpha_eq(r1, r2, env)
+        case (Proj(i, x), Proj(j, y)):
+            return i == j and alpha_eq(x, y, env)
+        case (Inj(i, t1, x), Inj(j, t2, y)):
+            return i == j and t1 == t2 and alpha_eq(x, y, env)
+        case (Case(s1, x0, b0, x1, b1), Case(s2, y0, c0, y1, c1)):
+            return (
+                alpha_eq(s1, s2, env)
+                and under(x0, y0, (b0, c0))
+                and under(x1, y1, (b1, c1))
+            )
+        case (Lam(x, t1, b1), Lam(y, t2, b2)):
+            return t1 == t2 and under(x, y, (b1, b2))
+        case (App(f1, a1), App(f2, a2)):
+            return alpha_eq(f1, f2, env) and alpha_eq(a1, a2, env)
+        case (Delay(x), Delay(y)) | (Force(x), Force(y)):
+            return alpha_eq(x, y, env)
+        case (Cons(t1, x), Cons(t2, y)) | (Dest(t1, x), Dest(t2, y)):
+            return t1 == t2 and alpha_eq(x, y, env)
+        case (Fold(t1, s1, x, b1, r1), Fold(t2, s2, y, b2, r2)):
+            return (t1 == t2 and r1 == r2
+                    and alpha_eq(s1, s2, env) and under(x, y, (b1, b2)))
+        case (Let(x, e1, b1), Let(y, e2, b2)):
+            return alpha_eq(e1, e2, env) and under(x, y, (b1, b2))
+    return False
+
+
+def rec_alpha_eq(a: RecExpr, b: RecExpr, env: Optional[dict] = None) -> bool:
+    """Alpha equivalence of recurrence terms (term binders only)."""
+    env = env or {}
+
+    def under(x, y, p, q):
+        sub = dict(env)
+        sub[x] = y
+        return rec_alpha_eq(p, q, sub)
+
+    match (a, b):
+        case (RVar(x), RVar(y)):
+            return env.get(x, x) == y
+        case (RZero(), RZero()) | (ROne(), ROne()) | (RUnitE(), RUnitE()):
+            return True
+        case (RPlus(l1, r1), RPlus(l2, r2)) | (RPair(l1, r1), RPair(l2, r2)):
+            return rec_alpha_eq(l1, l2, env) and rec_alpha_eq(r1, r2, env)
+        case (RProj(i, x), RProj(j, y)):
+            return i == j and rec_alpha_eq(x, y, env)
+        case (RInj(i, t1, x), RInj(j, t2, y)):
+            return i == j and t1 == t2 and rec_alpha_eq(x, y, env)
+        case (RCase(s1, x0, t0, b0, x1, t1, b1), RCase(s2, y0, u0, c0, y1, u1, c1)):
+            return (
+                rec_alpha_eq(s1, s2, env) and t0 == u0 and t1 == u1
+                and under(x0, y0, b0, c0) and under(x1, y1, b1, c1)
+            )
+        case (RLam(x, t1, b1), RLam(y, t2, b2)):
+            return t1 == t2 and under(x, y, b1, b2)
+        case (RApp(f1, a1), RApp(f2, a2)):
+            return rec_alpha_eq(f1, f2, env) and rec_alpha_eq(a1, a2, env)
+        case (RTyLam(a1, b1), RTyLam(a2, b2)):
+            return a1 == a2 and rec_alpha_eq(b1, b2, env)
+        case (RTyApp(f1, t1), RTyApp(f2, t2)):
+            return t1 == t2 and rec_alpha_eq(f1, f2, env)
+        case (RConsE(t1, x), RConsE(t2, y)) | (RDestE(t1, x), RDestE(t2, y)):
+            return t1 == t2 and rec_alpha_eq(x, y, env)
+        case (RFold(t1, s1, x, xt1, b1), RFold(t2, s2, y, xt2, b2)):
+            return (
+                t1 == t2 and xt1 == xt2 and rec_alpha_eq(s1, s2, env)
+                and under(x, y, b1, b2)
+            )
+        case (RLet(x, a1, b1), RLet(y, a2, b2)):
+            return rec_alpha_eq(a1, a2, env) and under(x, y, b1, b2)
+    return False

@@ -1,13 +1,14 @@
 import pytest
 
 from conftest import corpus_checked
+from reference import value_eq
 from costrec.cost_eval import (
     EvalError, apply_function, eval_expr, mapv_eval, program_env, subst_value,
 )
 from costrec.source_ast import (
     EMPTY_ENV, FConst, FProd, FRec, FSum, NAT_TYPE, TUnit, ValueEnv, VCons,
     VDelayClo, VInj, VLamClo, VPair, VUnit, Delay, Unit, numeral_value,
-    parse_expr, parse_program, pretty, value_eq,
+    parse_expr, parse_program, pretty,
 )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_FILES, corpus_extracted, corpus_text
-from reference import denote_closed
+from reference import denote_closed, free_vars, rec_alpha_eq
 from costrec import extract, rec_lang
 from costrec.cost_eval import eval_expr
 from costrec.extract import (
@@ -14,11 +14,11 @@ from costrec.models import ExactModel, value_potential
 from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RecExpr, RFold, RInd, RLam, RLet, ROne, RPair, RPlus,
     RProd, RProj, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero, check_rec,
-    rec_alpha_eq, rec_free_vars, simplify, subst_rtyvars,
+    rec_free_vars, simplify, subst_rtyvars,
 )
 from costrec.semdom import SNum, ext
 from costrec.source_ast import (
-    EMPTY_ENV, NAT_TYPE, TArrow, TProd, TSum, TSusp, TUnit, TVar, free_vars,
+    EMPTY_ENV, NAT_TYPE, TArrow, TProd, TSum, TSusp, TUnit, TVar,
     numeral_value, parse_expr, parse_program, parse_type, subst_tyvars,
 )
 from costrec.typecheck import TypeContext, check_program, infer_expr

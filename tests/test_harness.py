@@ -12,7 +12,7 @@ import pytest
 
 from conftest import CORPUS_DIR, corpus_checked, corpus_text
 from costrec import cli
-from costrec import harness
+from costrec import harness, models
 from costrec import source_ast
 from costrec.cli import main as cli_main
 from costrec.cost_eval import EvalError
@@ -30,7 +30,7 @@ from costrec.typecheck import check_program
 
 
 def test_gen_value_unit():
-    from costrec.source_ast import value_eq
+    from reference import value_eq
 
     rng = random.Random(0)
     assert value_eq(gen_value(parse_type("unit"), 5, rng), VUnit())
@@ -207,17 +207,57 @@ def test_verify_records_failures_with_replay_data():
 
 def test_run_trial_on_a_long_list_stays_below_the_recursion_limit():
     # in-process, on the default stack: the exact model's embedding of the
-    # argument is hashed as a bound-cache key, and that hash must not recurse
-    # once per element
+    # argument is hashed as a bound-cache key and the exact verdict compares
+    # potentials with ==; neither may recurse once per element
     prepared = prepare(corpus_checked("tail.src"), "tail", MODEL_NAMES)
     ty = prepared.arg_types[0]
     xs = VCons(ty, VInj(0, VUnit()))
-    for i in range(100):
+    for i in range(200):
         xs = VCons(ty, VInj(1, VPair(numeral_value(i % 3), xs)))
     trial = run_trial(prepared, [xs], 0, {})
     assert trial.ok
     assert sorted(trial.results) == sorted(MODEL_NAMES)
     assert all(r["status"] == "pass" for r in trial.results.values()), trial.results
+
+
+def test_one_walk_embeds_a_trial_value_for_all_six_models(monkeypatch):
+    # every model embeds the argument and the result, but each value is
+    # walked once: the first model fills its slot and the others read it
+    prepared = prepare(corpus_checked("tail.src"), "tail", MODEL_NAMES)
+    ty = prepared.arg_types[0]
+    xs = VCons(ty, VInj(0, VUnit()))
+    for i in range(5):
+        xs = VCons(ty, VInj(1, VPair(numeral_value(i), xs)))
+    walked, embedded = [], []
+    walk, embed = models._walk, models.value_potential
+    monkeypatch.setattr(models, "_walk", lambda v, t: walked.append(v) or walk(v, t))
+    monkeypatch.setattr(harness, "value_potential",
+                        lambda m, v, t: embedded.append(m.name) or embed(m, v, t))
+    assert run_trial(prepared, [xs], 0, {}).ok
+    assert sorted(embedded) == sorted(MODEL_NAMES * 2)
+    # the result of tail is the argument's own tail
+    assert walked == [xs, xs.arg.arg.right]
+    parts = xs._embedding
+    assert parts.ty is ty
+    by_name = {m.name: m for m, _, _ in prepared.denoted.values()}
+    assert embed(by_name["size"], xs, ty) is embed(by_name["lower"], xs, ty) is parts.size
+    assert embed(by_name["height"], xs, ty) is parts.height
+    assert embed(by_name["allcons"], xs, ty) is embed(by_name["merged"], xs, ty) is parts.census
+    assert embed(by_name["exact"], xs, ty) is parts.exact
+    assert len(walked) == 2
+
+
+def test_a_value_shared_at_two_types_embeds_at_each():
+    # the top-level nil is one value, and f returns it at list<nat> and at
+    # list<unit>: its slot keeps the first embedding, so the second type must
+    # walk it again rather than read the slot
+    checked = check_program(parse_program(
+        "let n = nil[a];\n"
+        "let g = fn (a: list<nat>) => fn (b: list<unit>) => (a, b);\n"
+        "let f = fn (x: unit) => g n n;\n"))
+    trial = run_trial(prepare(checked, "f", MODEL_NAMES), [VUnit()], 0, {})
+    assert trial.ok, trial.results
+    assert sorted(trial.results) == sorted(MODEL_NAMES)
 
 
 def test_non_observable_function_rejected():

@@ -137,7 +137,7 @@ VALUE_CLASSES = (
     source_ast.VCons, models.SemEnv,
 )
 # slots that a value fills once after construction: None until then
-FILLED_ONCE = ("_hash", "_dict")
+FILLED_ONCE = ("_hash", "_dict", "_embedding")
 
 _UNSET = object()
 

@@ -829,10 +829,10 @@ def test_value_outside_its_type_is_a_model_error(model_name, what, value, ty):
         value_potential(make_model(model_name), value, parse_type(ty))
 
 
-@pytest.mark.parametrize("model_name", ["allcons", "merged", "exact"])
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
 def test_value_outside_its_type_in_a_constant_is_a_model_error(model_name):
-    """The census and exact walks visit constants, so an ill-typed element
-    is found; the size and height walks never visit constants.
+    """The one walk visits constants for every model, so an ill-typed
+    element is found even where the potential does not count it.
     """
     ty = parse_type("list<nat>")
     bad = VCons(ty, VInj(1, VPair(VPair(VUnit(), VUnit()), VCons(ty, VInj(0, VUnit())))))

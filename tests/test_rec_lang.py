@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_extracted
-from reference import map_macro
+from reference import map_macro, rec_alpha_eq
 from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecTypeError, RFold,
     RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd, RProj, RSConst,
     RSRec, RSSum, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero,
-    check_rec, pretty_rec, rec_alpha_eq,
+    check_rec, pretty_rec,
     rec_free_vars, simplify, subst_rec, subst_rec_shape, subst_rec_type_in_expr,
 )
 

@@ -5,7 +5,7 @@ import costrec.semdom as semdom
 
 from costrec.semdom import (
     INF, ONE, ZERO, ExtNat, SFun, SIdeal, SMap, SNum, SPair, SStar, SemError,
-    SizeMap, antichain, canonical, ext, ideal_join, ideal_meet, is_function_free,
+    SizeMap, XCons, XInj, antichain, canonical, ext, ideal_join, ideal_meet, is_function_free,
     sem_join_vals, sem_leq, sem_meet_vals,
 )
 from costrec.rec_lang import RInd, RSConst, RSRec, RSSum, RUnit
@@ -290,3 +290,48 @@ def test_antichain_drops_copies_first_without_changing_the_result(monkeypatch):
     monkeypatch.setattr(semdom, "sem_leq", lambda x, y: calls.append(1) or real(x, y))
     assert antichain([a] * 5) == (a,)
     assert calls == []
+
+
+def _exact_list(items, delta=LST, hashed=False):
+    """An exact-model list of the given units and sizes, its nodes hashed
+    as they are built when ``hashed`` holds.
+    """
+    xs = XCons(delta, XInj(0, SStar()))
+    for x in reversed(items):
+        xs = XCons(delta, XInj(1, SPair(x, xs)))
+        if hashed:
+            hash(xs)
+    return xs
+
+
+@pytest.mark.parametrize("hashed", [False, True])
+def test_exact_equality_of_long_chains_does_not_recurse(hashed):
+    # 10,000 constructors nest far deeper than the recursion limit
+    items = [size(i % 3) for i in range(10_000)]
+    a = _exact_list(items, hashed=hashed)
+    assert a == _exact_list(items, hashed=hashed)
+    assert not a != _exact_list(items, hashed=hashed)
+    assert a != _exact_list(items[:-1] + [size(7)], hashed=hashed)
+    assert a != _exact_list(items[:-1], hashed=hashed)
+    assert a != _exact_list(items, delta=NAT, hashed=hashed)
+    assert a != SStar() and SStar() != a
+
+
+def test_exact_equality_agrees_with_structural_equality():
+    # the generated dataclass equality, on chains short enough for it
+    def structural(a, b):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, XCons):
+            return a.delta == b.delta and structural(a.arg, b.arg)
+        if isinstance(a, XInj):
+            return a.index == b.index and structural(a.arg, b.arg)
+        if isinstance(a, SPair):
+            return structural(a.left, b.left) and structural(a.right, b.right)
+        return a == b
+    lists = [_exact_list(items, delta) for delta in (LST, NAT) for items in (
+        [], [size(0)], [size(1)], [cost(1)], [size(0), size(1)], [size(1), size(0)])]
+    values = lists + [XInj(0, x) for x in lists[:3]] + [SPair(lists[1], lists[2]), SStar()]
+    for a in values:
+        for b in values:
+            assert (a == b) == structural(a, b), (str(a), str(b))

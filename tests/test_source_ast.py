@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_text, derived, holes,
 )
+from reference import alpha_eq
 from costrec.cost_eval import apply_function, program_env
 from costrec.harness import gen_value, prepare
 from costrec.source_ast import (
     BOOL, FConst, FProd, FRec, FSum, Inj, Lam, NAT_TYPE, SourceError, TInd,
-    TProd, TSum, TUnit, TVar, Unit, Var, VCons, VInj, alpha_eq, free_tyvars,
+    TProd, TSum, TUnit, TVar, Unit, Var, VCons, VInj, free_tyvars,
     iter_subexprs, numeral, parse_expr, parse_program, parse_type, pretty,
     subst_shape, Cons,
 )
