@@ -306,16 +306,15 @@ def extract_program(checked: T.CheckedProgram) -> ExtractedProgram:
         tail = _extract(expr, {}, binds)
         scheme = checked.schemes[name]
         pot = _generalize(_close(binds, tail.right), scheme.bound)
-        pot_free = rec_free_vars(pot)
         out[name] = ExtractedBinding(
             name=name,
             scheme=scheme,
             complexity=earlier.close(_close(binds, tail)),
             complexity_ty=RProd(RC(), potential_type(scheme.body)),
-            potential=earlier.close(pot, pot_free),
+            potential=earlier.close(pot),
             potential_ty=scheme_potential(scheme),
         )
-        earlier.add(name, pot, pot_free)
+        earlier.add(name, pot)
     main = None
     if checked.program.main is not None:
         main = earlier.close(extract_expr(checked.program.main))
@@ -334,19 +333,19 @@ class _TopLevel:
         self.deps: list[tuple[int, ...]] = []
         self.latest: dict[str, int] = {}
 
-    def _indices(self, names: set[str]) -> list[int]:
-        return [self.latest[x] for x in names if x in self.latest]
+    def _indices(self, e: RecExpr) -> list[int]:
+        return [self.latest[x] for x in rec_free_vars(e) if x in self.latest]
 
-    def add(self, name: str, pot: RecExpr, free: set[str]) -> None:
-        self.deps.append(tuple(self._indices(free)))
+    def add(self, name: str, pot: RecExpr) -> None:
+        self.deps.append(tuple(self._indices(pot)))
         self.latest[name] = len(self.pots)
         self.pots.append((name, pot))
 
-    def close(self, body: RecExpr, free: set[str] | None = None) -> RecExpr:
+    def close(self, body: RecExpr) -> RecExpr:
         """Wrap ``body`` in the lets of the bindings it uses, directly or
         through one another, the earliest outermost.
         """
-        todo = self._indices(rec_free_vars(body) if free is None else free)
+        todo = self._indices(body)
         used = set(todo)
         while todo:
             for j in self.deps[todo.pop()]:

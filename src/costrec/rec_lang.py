@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .source_ast import hash_once
+from .source_ast import hash_once, type_memo
 
 
 class RecTypeError(Exception):
@@ -337,24 +337,25 @@ class RLet(RecExpr):
     body: RecExpr
 
 
-def rec_free_vars(e: RecExpr) -> set[str]:
+def rec_free_vars(e: RecExpr) -> frozenset[str]:
+    """The free variables of a term, kept on it under ``_fv``."""
+    return type_memo(e, "_fv", _free_vars)
+
+
+def _free_vars(e: RecExpr) -> frozenset[str]:
     match e:
         case RVar(n):
-            return {n}
+            return frozenset((n,))
         case RZero() | ROne() | RUnitE():
-            return set()
-        case RPlus(l, r) | RPair(l, r):
+            return frozenset()
+        case RPlus(l, r) | RPair(l, r) | RApp(l, r):
             return rec_free_vars(l) | rec_free_vars(r)
-        case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _):
+        case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _) | RTyLam(_, a):
             return rec_free_vars(a)
         case RCase(s, x0, _, b0, x1, _, b1):
             return rec_free_vars(s) | (rec_free_vars(b0) - {x0}) | (rec_free_vars(b1) - {x1})
         case RLam(x, _, b):
             return rec_free_vars(b) - {x}
-        case RApp(f, a):
-            return rec_free_vars(f) | rec_free_vars(a)
-        case RTyLam(_, b):
-            return rec_free_vars(b)
         case RFold(_, s, x, _, b) | RLet(x, s, b):
             return rec_free_vars(s) | (rec_free_vars(b) - {x})
     raise RecTypeError(f"not a recurrence expression: {e!r}")
@@ -675,26 +676,52 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
 
 def _occurrences(e: RecExpr, name: str) -> int:
     """Free occurrences of a variable."""
+    return _occ(e).get(name, 0)
 
-    def under(binder: str, body: RecExpr) -> int:
-        return 0 if binder == name else _occurrences(body, name)
 
+def _occ(e: RecExpr) -> dict[str, int]:
+    """Each free variable of a term with its number of free occurrences,
+    kept on the term under ``_occ``.  Maps are shared between nodes, so
+    none is changed once built.
+    """
+    return type_memo(e, "_occ", _count_occurrences)
+
+
+def _count_occurrences(e: RecExpr) -> dict[str, int]:
     match e:
         case RVar(n):
-            return int(n == name)
+            return {n: 1}
         case RZero() | ROne() | RUnitE():
-            return 0
+            return {}
         case RPlus(l, r) | RPair(l, r) | RApp(l, r):
-            return _occurrences(l, name) + _occurrences(r, name)
+            return _add_counts(_occ(l), _occ(r))
         case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _) | RTyLam(_, a):
-            return _occurrences(a, name)
+            return _occ(a)
         case RCase(s, x0, _, b0, x1, _, b1):
-            return _occurrences(s, name) + under(x0, b0) + under(x1, b1)
+            return _add_counts(_occ(s), _add_counts(_occ_under(x0, b0), _occ_under(x1, b1)))
         case RLam(x, _, b):
-            return under(x, b)
+            return _occ_under(x, b)
         case RFold(_, s, x, _, b) | RLet(x, s, b):
-            return _occurrences(s, name) + under(x, b)
+            return _add_counts(_occ(s), _occ_under(x, b))
     raise RecTypeError(f"not a recurrence expression: {e!r}")
+
+
+def _occ_under(binder: str, body: RecExpr) -> dict[str, int]:
+    occ = _occ(body)
+    if binder not in occ:
+        return occ
+    return {x: n for x, n in occ.items() if x != binder}
+
+
+def _add_counts(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    if not b:
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    for x, n in b.items():
+        out[x] = out.get(x, 0) + n
+    return out
 
 
 def _plus(l: RecExpr, r: RecExpr, spend) -> RecExpr:

@@ -51,9 +51,15 @@ def type_memo(ty, slot: str, compute):
     ``functools.cached_property`` does), so the memo dies with the type (or
     other immutable node: a shape functor, a recurrence term).  Frozen
     dataclasses allow this: the slot is not a field, so it takes no part in
-    equality, hashing or printing.  Only sound for a type whose unification
-    holes cannot change any more: every type after checking, which holds no
-    hole, and the types of unchecked expressions, whose holes nothing solves.
+    equality, hashing or printing.
+
+    A fact of the tree itself is sound to keep whatever happens to the
+    unification holes: the checker's ``_meta_free`` (no ``TMeta`` node
+    below), and a recurrence term's free variables (``_fv``) and occurrence
+    counts (``_occ``), which hold no holes.  A fact that reads through a
+    hole's solution is sound only once the holes cannot change: every type
+    after checking holds none, and ``free_tyvars`` keeps its ``_ftv`` only on
+    a type without holes.
     """
     memo = ty.__dict__
     if slot not in memo:
@@ -198,15 +204,28 @@ def subst_shape(f: ShapeFunctor, ty: SrcType) -> SrcType:
     raise TypeError(f"not a shape functor: {f!r}")
 
 
+def type_parts(x) -> tuple:
+    """The child types and shape functors of a type or shape functor."""
+    match x:
+        case TProd(l, r) | TSum(l, r) | TArrow(l, r) | FProd(l, r) | FSum(l, r) | FArrow(l, r):
+            return (l, r)
+        case TInd(b, _) | FConst(b) | TSusp(b):
+            return (b,)
+        case TVar() | TUnit() | FRec():
+            return ()
+    raise TypeError(f"not a type or shape functor: {x!r}")
+
+
 def subst_tyvars(ty: SrcType, mapping: dict[str, SrcType]) -> SrcType:
     """Substitute for free type variables.  Types have no variable binders
-    (schemes are kept separate), so no renaming is needed.
+    (schemes are kept separate), so no renaming is needed.  A part that holds
+    none of the mapped variables is returned itself, with its memos.
     """
+    if mapping.keys().isdisjoint(free_tyvars(ty)):
+        return ty
     match ty:
         case TVar(a):
-            return mapping.get(a, ty)
-        case TUnit():
-            return ty
+            return mapping[a]
         case TProd(l, r):
             return TProd(subst_tyvars(l, mapping), subst_tyvars(r, mapping))
         case TSum(l, r):
@@ -217,13 +236,14 @@ def subst_tyvars(ty: SrcType, mapping: dict[str, SrcType]) -> SrcType:
             return TSusp(subst_tyvars(b, mapping))
         case TInd(f, label):
             return TInd(subst_shape_tyvars(f, mapping), label)
-    raise TypeError(f"not a type: {ty!r}")
+    # a solved hole (``typecheck.TMeta``) stands for its solution
+    return subst_tyvars(ty.cell.solution, mapping)
 
 
 def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFunctor:
+    if mapping.keys().isdisjoint(free_tyvars(f)):
+        return f
     match f:
-        case FRec():
-            return f
         case FConst(t):
             return FConst(subst_tyvars(t, mapping))
         case FProd(l, r):
@@ -235,34 +255,28 @@ def subst_shape_tyvars(f: ShapeFunctor, mapping: dict[str, SrcType]) -> ShapeFun
     raise TypeError(f"not a shape functor: {f!r}")
 
 
-def free_tyvars(ty: SrcType) -> set[str]:
-    match ty:
-        case TVar(a):
-            return {a}
-        case TUnit():
-            return set()
-        case TProd(l, r) | TSum(l, r):
-            return free_tyvars(l) | free_tyvars(r)
-        case TArrow(d, c):
-            return free_tyvars(d) | free_tyvars(c)
-        case TSusp(b):
-            return free_tyvars(b)
-        case TInd(f, _):
-            return free_tyvars_shape(f)
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def free_tyvars_shape(f: ShapeFunctor) -> set[str]:
-    match f:
-        case FRec():
-            return set()
-        case FConst(t):
-            return free_tyvars(t)
-        case FProd(l, r) | FSum(l, r):
-            return free_tyvars_shape(l) | free_tyvars_shape(r)
-        case FArrow(d, b):
-            return free_tyvars(d) | free_tyvars_shape(b)
-    raise TypeError(f"not a shape functor: {f!r}")
+def free_tyvars(ty) -> frozenset[str]:
+    """The type variables of a type or shape functor, kept on it under
+    ``_ftv``.  A hole (``typecheck.TMeta``) stands for its solution, and an
+    unsolved one holds none: holes are never generalized.  A solution can
+    still change, so a type that holds a hole keeps no memo and is walked
+    again each time.
+    """
+    memo = ty.__dict__.get("_ftv")
+    if memo is not None:
+        return memo
+    if isinstance(ty, TVar):
+        out = frozenset((ty.name,))
+    elif hasattr(ty, "cell"):
+        solution = ty.cell.solution
+        return frozenset() if solution is None else free_tyvars(solution)
+    else:
+        parts = type_parts(ty)
+        out = frozenset().union(*map(free_tyvars, parts))
+        if not all("_ftv" in p.__dict__ for p in parts):
+            return out  # a part holds a hole
+    ty.__dict__["_ftv"] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .source_ast import (
     FSum, Inj, Lam, Let, MapE, Pair, Program, Proj, ShapeFunctor,
     SourceError, SrcExpr, SrcType, TArrow, TInd, TProd, TSum, TSusp, TUnit,
     TVar, TypeScheme, Unit, Var, free_tyvars, pretty_type, subst_shape,
-    subst_tyvars,
+    subst_tyvars, type_memo, type_parts,
 )
 
 
@@ -61,10 +61,24 @@ def _shorten(ty: SrcType) -> SrcType:
     return ty
 
 
+def _meta_free(ty) -> bool:
+    """Whether a type or shape functor holds no ``TMeta`` node, solved or
+    not.  A fact of the tree, so it is kept on the node whatever holes are
+    solved later.
+    """
+    return not isinstance(ty, TMeta) and type_memo(ty, "_meta_free", _no_meta_below)
+
+
+def _no_meta_below(ty) -> bool:
+    return all(map(_meta_free, type_parts(ty)))
+
+
 def zonk(ty: SrcType) -> SrcType:
     """Replace solved metavariables by their solutions, everywhere.  A part
     that holds no solved metavariable is returned itself, not rebuilt.
     """
+    if _meta_free(ty):
+        return ty
     ty = _shorten(ty)
     match ty:
         case TProd(l, r) | TSum(l, r) | TArrow(l, r):
@@ -82,6 +96,8 @@ def zonk(ty: SrcType) -> SrcType:
 
 
 def _zonk_shape(f: ShapeFunctor) -> ShapeFunctor:
+    if _meta_free(f):
+        return f
     match f:
         case FConst(t):
             zt = zonk(t)
@@ -92,45 +108,14 @@ def _zonk_shape(f: ShapeFunctor) -> ShapeFunctor:
         case FArrow(d, b):
             zd, zb = zonk(d), _zonk_shape(b)
             return f if zd is d and zb is b else FArrow(zd, zb)
-        case FRec():
-            return f
     raise TypeError(f"not a shape functor: {f!r}")
 
 
-def _contains_meta(ty: SrcType) -> bool:
-    ty = _shorten(ty)
-    if isinstance(ty, TMeta):
-        return True
-    match ty:
-        case TVar() | TUnit():
-            return False
-        case TProd(l, r) | TSum(l, r):
-            return _contains_meta(l) or _contains_meta(r)
-        case TArrow(d, c):
-            return _contains_meta(d) or _contains_meta(c)
-        case TSusp(b):
-            return _contains_meta(b)
-        case TInd(_, _):
-            return _contains_meta(subst_shape(ty.functor, TUnit()))  # scan constants
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _occurs(cell: _MetaCell, ty: SrcType) -> bool:
+def _occurs(cell: _MetaCell, ty) -> bool:
     ty = _shorten(ty)
     if isinstance(ty, TMeta):
         return ty.cell is cell
-    match ty:
-        case TVar() | TUnit():
-            return False
-        case TProd(l, r) | TSum(l, r):
-            return _occurs(cell, l) or _occurs(cell, r)
-        case TArrow(d, c):
-            return _occurs(cell, d) or _occurs(cell, c)
-        case TSusp(b):
-            return _occurs(cell, b)
-        case TInd(f, _):
-            return _occurs(cell, subst_shape(f, TUnit()))
-    raise TypeError(f"not a type: {ty!r}")
+    return not _meta_free(ty) and any(_occurs(cell, p) for p in type_parts(ty))
 
 
 def unify(a: SrcType, b: SrcType, pos=None) -> None:
@@ -215,7 +200,7 @@ class TypeContext:
         out: set[str] = set()
         for name in self.open:
             s = self.vars[name]
-            out |= free_tyvars(zonk(s.body)) - set(s.bound)
+            out |= free_tyvars(s.body) - set(s.bound)
         return out
 
 
@@ -233,7 +218,7 @@ class Elab:
         pending, self.pending = self.pending, []
         for e, ty in pending:
             z = zonk(ty)
-            if _contains_meta(z):
+            if not _meta_free(z):
                 raise SrcTypeError(
                     "ambiguous type instantiation (annotate with x[ty] or a constructor type argument)",
                     *(pos or (0, 0)),
@@ -245,7 +230,7 @@ class Elab:
         for e, _ in pending:
             if isinstance(e, Var):
                 zs = tuple(zonk(t) for t in e.instantiation)
-                if any(_contains_meta(z) for z in zs):
+                if not all(map(_meta_free, zs)):
                     raise SrcTypeError(
                         "ambiguous type instantiation (annotate with x[ty])", *(pos or (0, 0))
                     )
@@ -379,7 +364,8 @@ def _infer_node(ctx: TypeContext, e: SrcExpr, elab: Elab) -> SrcType:
         case Let(x, bound, body):
             tb = zonk(_infer(ctx, bound, elab))
             # a bound with no type variables generalizes nothing, whatever
-            # the context holds, so only a polymorphic one scans it
+            # the context holds, so only a polymorphic one scans it; an
+            # unsolved hole is no type variable, and ``_finalize`` reports it
             tvs = free_tyvars(tb)
             gen = tuple(sorted(tvs - ctx.free_tyvars())) if tvs else ()
             object.__setattr__(e, "generalized", gen)

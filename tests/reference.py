@@ -8,7 +8,11 @@
 * ``denote_closed``: type check a closed recurrence and denote it;
 * ``value_eq``, ``free_vars``, ``alpha_eq`` and ``rec_alpha_eq``: structural
   equality of source values, and alpha equivalence of source and recurrence
-  terms, which the tests compare results with.
+  terms, which the tests compare results with;
+* ``recursive_free_tyvars``, ``recursive_contains_meta``,
+  ``recursive_rec_free_vars`` and ``recursive_occurrences``: the facts that
+  the library keeps on each node, recomputed by a fresh walk on every call,
+  which the memoized facts are checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from costrec.source_ast import (
     VDelayClo, VInj, VLamClo, VPair, VUnit, free_tyvars, iter_subexprs,
     pretty, pretty_type, subst_shape, subst_tyvars,
 )
-from costrec.typecheck import CheckedProgram, SrcTypeError
+from costrec.typecheck import CheckedProgram, SrcTypeError, TMeta, _shorten
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +404,108 @@ def rec_alpha_eq(a: RecExpr, b: RecExpr, env: Optional[dict] = None) -> bool:
         case (RLet(x, a1, b1), RLet(y, a2, b2)):
             return rec_alpha_eq(a1, a2, env) and under(x, y, b1, b2)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Structural facts, walked afresh on every call
+# ---------------------------------------------------------------------------
+
+
+def recursive_free_tyvars(ty: SrcType) -> set[str]:
+    match ty:
+        case TVar(a):
+            return {a}
+        case TUnit():
+            return set()
+        case TProd(l, r) | TSum(l, r):
+            return recursive_free_tyvars(l) | recursive_free_tyvars(r)
+        case TArrow(d, c):
+            return recursive_free_tyvars(d) | recursive_free_tyvars(c)
+        case TSusp(b):
+            return recursive_free_tyvars(b)
+        case TInd(f, _):
+            return _recursive_free_tyvars_shape(f)
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def _recursive_free_tyvars_shape(f) -> set[str]:
+    match f:
+        case FRec():
+            return set()
+        case FConst(t):
+            return recursive_free_tyvars(t)
+        case FProd(l, r) | FSum(l, r):
+            return _recursive_free_tyvars_shape(l) | _recursive_free_tyvars_shape(r)
+        case FArrow(d, b):
+            return recursive_free_tyvars(d) | _recursive_free_tyvars_shape(b)
+    raise TypeError(f"not a shape functor: {f!r}")
+
+
+def recursive_contains_meta(ty: SrcType) -> bool:
+    """Whether an unsolved hole is left in ``ty`` once solved holes are
+    read through.
+    """
+    ty = _shorten(ty)
+    if isinstance(ty, TMeta):
+        return True
+    match ty:
+        case TVar() | TUnit():
+            return False
+        case TProd(l, r) | TSum(l, r):
+            return recursive_contains_meta(l) or recursive_contains_meta(r)
+        case TArrow(d, c):
+            return recursive_contains_meta(d) or recursive_contains_meta(c)
+        case TSusp(b):
+            return recursive_contains_meta(b)
+        case TInd(_, _):
+            return recursive_contains_meta(subst_shape(ty.functor, TUnit()))  # scan constants
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def recursive_rec_free_vars(e: RecExpr) -> set[str]:
+    fv = recursive_rec_free_vars
+    match e:
+        case RVar(n):
+            return {n}
+        case RZero() | ROne() | RUnitE():
+            return set()
+        case RPlus(l, r) | RPair(l, r):
+            return fv(l) | fv(r)
+        case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _):
+            return fv(a)
+        case RCase(s, x0, _, b0, x1, _, b1):
+            return fv(s) | (fv(b0) - {x0}) | (fv(b1) - {x1})
+        case RLam(x, _, b):
+            return fv(b) - {x}
+        case RApp(f, a):
+            return fv(f) | fv(a)
+        case RTyLam(_, b):
+            return fv(b)
+        case RFold(_, s, x, _, b) | RLet(x, s, b):
+            return fv(s) | (fv(b) - {x})
+    raise RecTypeError(f"not a recurrence expression: {e!r}")
+
+
+def recursive_occurrences(e: RecExpr, name: str) -> int:
+    """Free occurrences of a variable."""
+    occ = recursive_occurrences
+
+    def under(binder: str, body: RecExpr) -> int:
+        return 0 if binder == name else occ(body, name)
+
+    match e:
+        case RVar(n):
+            return int(n == name)
+        case RZero() | ROne() | RUnitE():
+            return 0
+        case RPlus(l, r) | RPair(l, r) | RApp(l, r):
+            return occ(l, name) + occ(r, name)
+        case RProj(_, a) | RInj(_, _, a) | RConsE(_, a) | RDestE(_, a) | RTyApp(a, _) | RTyLam(_, a):
+            return occ(a, name)
+        case RCase(s, x0, _, b0, x1, _, b1):
+            return occ(s, name) + under(x0, b0) + under(x1, b1)
+        case RLam(x, _, b):
+            return under(x, b)
+        case RFold(_, s, x, _, b) | RLet(x, s, b):
+            return occ(s, name) + under(x, b)
+    raise RecTypeError(f"not a recurrence expression: {e!r}")

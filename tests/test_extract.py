@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_FILES, corpus_extracted, corpus_text
 from reference import denote_closed, free_vars, rec_alpha_eq
-from costrec import extract, rec_lang
+from costrec import rec_lang
 from costrec.cost_eval import eval_expr
 from costrec.extract import (
     add_cost, complexity_type, extract_expr, extract_program, potential_type,
@@ -261,9 +261,10 @@ def test_extracted_terms_are_closed(name):
 
 
 def _free_var_calls_per_binding(monkeypatch, n, chained):
-    """rec_free_vars calls (with their recursive calls) per top-level binding
-    while extracting n one-lambda bindings; chained, each one calls the one
-    before it, so its terms close over all the earlier bindings.
+    """Free-variable computations (``rec_free_vars``'s compute function, with
+    the recursive calls it makes) per top-level binding while extracting n
+    one-lambda bindings; chained, each one calls the one before it, so its
+    terms close over all the earlier bindings.
     """
     if chained:
         lines = ["let f0 = fn (x: nat) => cons(x, nil);"] + [
@@ -272,15 +273,14 @@ def _free_var_calls_per_binding(monkeypatch, n, chained):
         lines = [f"let f{i} = fn (x: nat) => cons(x, nil);" for i in range(n)]
     checked = check_program(parse_program("\n".join(lines)))
     calls = 0
-    counted = rec_lang.rec_free_vars
+    counted = rec_lang._free_vars
 
     def counting(e):
         nonlocal calls
         calls += 1
         return counted(e)
 
-    monkeypatch.setattr(rec_lang, "rec_free_vars", counting)
-    monkeypatch.setattr(extract, "rec_free_vars", counting)
+    monkeypatch.setattr(rec_lang, "_free_vars", counting)
     extract_program(checked)
     monkeypatch.undo()
     return calls / n

@@ -406,6 +406,17 @@ def test_cli_type_error_exit_one(tmp_path, capsys):
     assert "costrec" in err
 
 
+def test_cli_check_local_let_of_an_unsolved_hole_exits_one(tmp_path, capsys):
+    # the bound's hole is not a type variable: it is not generalized, and is
+    # reported where the binding starts, as for a top-level `let n = nil;`
+    f = tmp_path / "hole.src"
+    f.write_text("let f = fn (x: unit) => let n = nil in n;\n")
+    code, out, err = _run(capsys, "check", str(f))
+    assert code == 1 and out == ""
+    assert err == ("costrec: 1:9: ambiguous type instantiation "
+                   "(annotate with x[ty] or a constructor type argument)\n")
+
+
 def test_cli_analysis_errors_exit_one_without_traceback(capsys, monkeypatch):
     for exc_type in (ModelError, HarnessError, EvalError, ExtractError,
                      RecTypeError, UnsupportedFeature, RecursionError):

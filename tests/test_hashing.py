@@ -117,12 +117,24 @@ def test_hash_is_computed_once_per_node(samples):
     assert seen["slot"] and seen["dict"], seen
 
 
+def _rebuilt(x):
+    """An equal copy of a dataclass tree, built afresh, with no memo."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: _rebuilt(getattr(x, f.name))
+                          for f in dataclasses.fields(x) if f.init})
+    return x
+
+
 def test_equal_objects_hash_alike(samples):
     by_key: dict = {}
     for key, obj in samples:
         by_key.setdefault(key, []).append(obj)
     for key, objs in by_key.items():
         first, second = objs[0], objs[1]
+        if second is first:
+            # instantiation returns a type that holds no type variable
+            # itself, such as the parser's shared ``bool``
+            second = _rebuilt(first)
         assert first is not second
         assert first == second and hash(first) == hash(second), key
 

@@ -69,6 +69,25 @@ def test_ambiguous_instantiation_is_an_error():
         check_program(parse_program("let xs = nil;"))
 
 
+def test_a_local_let_keeping_an_unsolved_hole_is_ambiguous():
+    for src in ("let f = fn (x: unit) => let n = nil in n;",
+                "let f = fn (u: unit) => let n = nil in let g = fn (y: a) => (y, n) in g u;"):
+        with pytest.raises(SrcTypeError, match="ambiguous"):
+            check_program(parse_program(src))
+
+
+def test_a_local_let_hole_solved_after_a_polymorphic_use():
+    # g is generalized over a but not over n's hole, which the last line
+    # solves after g has been instantiated
+    src = ("let f = fn (u: unit) => let n = nil in let g = fn (y: a) => (y, n) in "
+           "let p = g u in cons(#1, n);")
+    checked = check_program(parse_program(src))
+    assert checked.schemes["f"].body == TArrow(TUnit(), parse_type("list<nat>"))
+    lets = [e for e in iter_subexprs(checked.program.bindings[0][1]) if isinstance(e, Let)]
+    assert [e.generalized for e in lets] == [(), ("a",), ()]
+    assert not holes(*map(derived, (e for _, e in checked.program.bindings)))
+
+
 def test_explicit_instantiation_arity_checked():
     with pytest.raises(SrcTypeError):
         infer("let id = fn (x: a) => x in id[nat, bool] #1")
