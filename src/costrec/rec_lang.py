@@ -362,15 +362,18 @@ def _free_vars(e: RecExpr) -> frozenset[str]:
 
 
 def subst_rec(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
-    """Capture-avoiding substitution of ``value`` for ``name`` in ``e``."""
+    """Capture-avoiding substitution of ``value`` for ``name`` in ``e``.  A
+    subterm in which ``name`` is not free is returned as it is, memos and
+    all, and no binder above it is renamed.
+    """
     fv = rec_free_vars(value)
 
     def go(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
+        if name not in rec_free_vars(e):
+            return e
         match e:
-            case RVar(n):
-                return value if n == name else e
-            case RZero() | ROne() | RUnitE():
-                return e
+            case RVar():
+                return value
             case RPlus(l, r):
                 return RPlus(go(l, name, value), go(r, name, value))
             case RPair(l, r):
@@ -408,7 +411,7 @@ def subst_rec(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
         raise RecTypeError(f"not a recurrence expression: {e!r}")
 
     def _under(binder: str, body: RecExpr, name: str, value: RecExpr, fv: set[str]):
-        if binder == name:
+        if binder == name or name not in rec_free_vars(body):
             return binder, body
         if binder in fv:
             fresh = rec_gensym(binder.split(".")[0])
@@ -607,6 +610,10 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
     The beta laws bind their argument with ``let`` rather than substituting
     it, and a ``let`` is inlined only when its variable occurs at most once
     or its bound term is a variable or literal, so no rewrite copies a term.
+
+    It works only where a rewrite happens: a node that no rule changes is
+    returned itself, and each normal form is marked ``_normal`` and not
+    walked again, so an inlining renormalizes only what ``subst_rec`` rebuilt.
     """
     budget = _budget if _budget is not None else [SIMPLIFY_BUDGET]
 
@@ -616,52 +623,62 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
             raise RecTypeError("simplifier rewrite budget exceeded (divergent rewrite?)")
 
     def norm(e: RecExpr) -> RecExpr:
+        if "_normal" in e.__dict__:
+            return e
         match e:
             case RVar() | RZero() | ROne() | RUnitE():
-                return e
+                out = e
             case RPlus(l, r):
-                return _plus(norm(l), norm(r), spend)
+                l2, r2 = norm(l), norm(r)
+                keep = l2 is l and r2 is r and not isinstance(l, RZero) and not isinstance(r, (RZero, RPlus))
+                out = e if keep else _plus(l2, r2, spend)
             case RPair(l, r):
-                return RPair(norm(l), norm(r))
+                out = _rebuilt(e, norm(l), norm(r))
             case RProj(i, a):
                 a2 = norm(a)
                 if isinstance(a2, RPair):  # beta-times
                     spend()
-                    return a2.left if i == 0 else a2.right
-                return RProj(i, a2)
+                    out = a2.left if i == 0 else a2.right
+                else:
+                    out = _rebuilt(e, i, a2)
             case RInj(i, t, a):
-                return RInj(i, t, norm(a))
+                out = _rebuilt(e, i, t, norm(a))
             case RCase(s, x0, t0, b0, x1, t1, b1):
                 s2 = norm(s)
                 if isinstance(s2, RInj):  # beta-plus
                     spend()
                     x, b = (x0, b0) if s2.index == 0 else (x1, b1)
-                    return let(x, s2.arg, norm(b))
-                return RCase(s2, x0, t0, norm(b0), x1, t1, norm(b1))
+                    out = let(x, s2.arg, norm(b))
+                else:
+                    out = _rebuilt(e, s2, x0, t0, norm(b0), x1, t1, norm(b1))
             case RLam(x, t, b):
-                return RLam(x, t, norm(b))
+                out = _rebuilt(e, x, t, norm(b))
             case RApp(f, a):
                 f2, a2 = norm(f), norm(a)
                 if isinstance(f2, RLam):  # beta-to
                     spend()
-                    return let(f2.binder, a2, f2.body)
-                return RApp(f2, a2)
+                    out = let(f2.binder, a2, f2.body)
+                else:
+                    out = _rebuilt(e, f2, a2)
             case RTyLam(v, b):
-                return RTyLam(v, norm(b))
+                out = _rebuilt(e, v, norm(b))
             case RTyApp(f, t):
-                return RTyApp(norm(f), t)  # beta-all is a strict inequality
+                out = _rebuilt(e, norm(f), t)  # beta-all is a strict inequality
             case RConsE(t, a):
-                return RConsE(t, norm(a))
+                out = _rebuilt(e, t, norm(a))
             case RDestE(t, a):
-                return RDestE(t, norm(a))  # beta-delta is a strict inequality
+                out = _rebuilt(e, t, norm(a))  # beta-delta is a strict inequality
             case RFold(t, s, x, xt, b):
-                return RFold(t, norm(s), x, xt, norm(b))  # beta-fold likewise
+                out = _rebuilt(e, t, norm(s), x, xt, norm(b))  # beta-fold likewise
             case RLet(x, a, b):
-                return let(x, norm(a), norm(b))
-        raise RecTypeError(f"not a recurrence expression: {e!r}")
+                out = let(x, norm(a), norm(b), e)
+            case _:
+                raise RecTypeError(f"not a recurrence expression: {e!r}")
+        out.__dict__["_normal"] = True  # marked here, not in a wrapper: one frame per level
+        return out
 
-    def let(x: str, a: RecExpr, b: RecExpr) -> RecExpr:
-        # a and b are in normal form
+    def let(x: str, a: RecExpr, b: RecExpr, e: Optional[RLet] = None) -> RecExpr:
+        # a and b are in normal form; e, if given, is the let they came from
         uses = _occurrences(b, x)
         if uses == 0:
             spend()
@@ -669,9 +686,17 @@ def simplify(e: RecExpr, _budget: Optional[list[int]] = None) -> RecExpr:
         if uses == 1 or isinstance(a, (RVar, RZero, ROne, RUnitE)):
             spend()
             return norm(subst_rec(b, x, a))
-        return RLet(x, a, b)
+        return RLet(x, a, b) if e is None else _rebuilt(e, x, a, b)
 
     return norm(e)
+
+
+def _rebuilt(e: RecExpr, *fields) -> RecExpr:
+    """``e`` itself when ``fields`` are its own, else a new node of its class."""
+    for new, name in zip(fields, e.__match_args__):
+        if new is not getattr(e, name):
+            return type(e)(*fields)
+    return e
 
 
 def _occurrences(e: RecExpr, name: str) -> int:

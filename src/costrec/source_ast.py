@@ -60,6 +60,13 @@ def type_memo(ty, slot: str, compute):
     hole's solution is sound only once the holes cannot change: every type
     after checking holds none, and ``free_tyvars`` keeps its ``_ftv`` only on
     a type without holes.
+
+    The simplifier keeps one fact the same way without ``type_memo``: it
+    marks each normal form it returns with ``_normal``, so a marked subterm
+    that a substitution or rewrite hands back untouched is not walked again.
+    The mark is a flag, not a pointer to the normal form: a memo that held
+    a node would make the tree a graph (a normal form pointing to itself),
+    and a walk over a node's ``__dict__`` would not end.
     """
     memo = ty.__dict__
     if slot not in memo:
@@ -643,9 +650,9 @@ def _lex(src: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():  # exactly the digits int() reads; not isdigit's '²'
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(Token("num", src[i:j], line, col))
             col += j - i
@@ -1290,12 +1297,26 @@ def _pty(ty: SrcType, prec: int) -> str:
         case TSusp(b):
             return f"susp {_pty(b, 3)}"
         case TInd(f, label):
-            if label:
-                return label
-            return f"(mu t. {_pfunctor(f)})"
+            return label or _std_label(f) or f"(mu t. {_pfunctor(f)})"
     if hasattr(ty, "cell"):  # unsolved metavariable (typecheck.TMeta)
         return f"?{ty.cell.ident}"
     raise TypeError(f"not a type: {ty!r}")
+
+
+def _std_label(f: ShapeFunctor) -> Optional[str]:
+    """The name of the standard nat, list or tree shape, as instantiating its
+    declaration labels it, for a type whose label was dropped: one built
+    from constructor sugar at holes.  (``rec_lang._derive_label`` does the
+    same for recurrence types.)
+    """
+    match f:
+        case FSum(FConst(TUnit()), FRec()):
+            return "nat"
+        case FSum(FConst(TUnit()), FProd(FConst(elem), FRec())):
+            return f"list<{_pty(elem, 0)}>"
+        case FSum(FConst(TUnit()), FProd(FProd(FConst(elem), FRec()), FRec())):
+            return f"tree<{_pty(elem, 0)}>"
+    return None
 
 
 def _pfunctor(f: ShapeFunctor, prec: int = 0) -> str:

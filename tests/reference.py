@@ -12,7 +12,11 @@
 * ``recursive_free_tyvars``, ``recursive_contains_meta``,
   ``recursive_rec_free_vars`` and ``recursive_occurrences``: the facts that
   the library keeps on each node, recomputed by a fresh walk on every call,
-  which the memoized facts are checked against.
+  which the memoized facts are checked against;
+* ``reference_subst_rec`` and ``reference_simplify``: substitution and the
+  simplifier as they were before they shared untouched nodes, rebuilding
+  and renormalizing every node, which the library's results must print
+  the same as.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from costrec.rec_lang import (
     RApp, RCase, RConsE, RDestE, RecElab, RecExpr, RecShape, RecType,
     RecTypeError, RFold, RInj, RLam, RLet, ROne, RPair, RPlus, RProj, RSArrow,
     RSConst, RSProd, RSRec, RSSum, RTyApp, RTyLam, RUnitE, RVar, RZero,
-    check_rec, rec_gensym, subst_rec, subst_rec_shape,
+    SIMPLIFY_BUDGET, _plus, check_rec, rec_gensym, subst_rec, subst_rec_shape,
 )
 from costrec.semdom import SemValue
 from costrec.source_ast import (
@@ -509,3 +513,139 @@ def recursive_occurrences(e: RecExpr, name: str) -> int:
         case RFold(_, s, x, _, b) | RLet(x, s, b):
             return occ(s, name) + under(x, b)
     raise RecTypeError(f"not a recurrence expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# The simplifier that rebuilds every node
+# ---------------------------------------------------------------------------
+
+
+def reference_subst_rec(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
+    """Capture-avoiding substitution that rebuilds every node of ``e`` and
+    renames every binder that ``value`` would capture, whether ``name``
+    occurs below it or not.
+    """
+    fv = recursive_rec_free_vars(value)
+
+    def go(e: RecExpr, name: str, value: RecExpr) -> RecExpr:
+        match e:
+            case RVar(n):
+                return value if n == name else e
+            case RZero() | ROne() | RUnitE():
+                return e
+            case RPlus(l, r):
+                return RPlus(go(l, name, value), go(r, name, value))
+            case RPair(l, r):
+                return RPair(go(l, name, value), go(r, name, value))
+            case RProj(i, a):
+                return RProj(i, go(a, name, value))
+            case RInj(i, t, a):
+                return RInj(i, t, go(a, name, value))
+            case RCase(s, x0, t0, b0, x1, t1, b1):
+                s2 = go(s, name, value)
+                x0b, b0b = under(x0, b0, name, value)
+                x1b, b1b = under(x1, b1, name, value)
+                return RCase(s2, x0b, t0, b0b, x1b, t1, b1b)
+            case RLam(x, t, b):
+                xb, bb = under(x, b, name, value)
+                return RLam(xb, t, bb)
+            case RApp(f, a):
+                return RApp(go(f, name, value), go(a, name, value))
+            case RTyLam(a, b):
+                return RTyLam(a, go(b, name, value))
+            case RTyApp(f, t):
+                return RTyApp(go(f, name, value), t)
+            case RConsE(t, a):
+                return RConsE(t, go(a, name, value))
+            case RDestE(t, a):
+                return RDestE(t, go(a, name, value))
+            case RFold(t, s, x, xt, b):
+                s2 = go(s, name, value)
+                xb, bb = under(x, b, name, value)
+                return RFold(t, s2, xb, xt, bb)
+            case RLet(x, a, b):
+                a2 = go(a, name, value)
+                xb, bb = under(x, b, name, value)
+                return RLet(xb, a2, bb)
+        raise RecTypeError(f"not a recurrence expression: {e!r}")
+
+    def under(binder: str, body: RecExpr, name: str, value: RecExpr):
+        if binder == name:
+            return binder, body
+        if binder in fv:
+            fresh = rec_gensym(binder.split(".")[0])
+            body = go(body, binder, RVar(fresh))
+            binder = fresh
+        return binder, go(body, name, value)
+
+    return go(e, name, value)
+
+
+def reference_simplify(e: RecExpr) -> RecExpr:
+    """The simplifier's rewrites, applied by normalizing every node afresh:
+    each inlining substitutes with ``reference_subst_rec`` and normalizes the
+    whole copy again.  It reads no ``_normal`` mark and keeps no node.
+    """
+    budget = [SIMPLIFY_BUDGET]
+
+    def spend():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise RecTypeError("simplifier rewrite budget exceeded (divergent rewrite?)")
+
+    def norm(e: RecExpr) -> RecExpr:
+        match e:
+            case RVar() | RZero() | ROne() | RUnitE():
+                return e
+            case RPlus(l, r):
+                return _plus(norm(l), norm(r), spend)
+            case RPair(l, r):
+                return RPair(norm(l), norm(r))
+            case RProj(i, a):
+                a2 = norm(a)
+                if isinstance(a2, RPair):
+                    spend()
+                    return a2.left if i == 0 else a2.right
+                return RProj(i, a2)
+            case RInj(i, t, a):
+                return RInj(i, t, norm(a))
+            case RCase(s, x0, t0, b0, x1, t1, b1):
+                s2 = norm(s)
+                if isinstance(s2, RInj):
+                    spend()
+                    x, b = (x0, b0) if s2.index == 0 else (x1, b1)
+                    return let(x, s2.arg, norm(b))
+                return RCase(s2, x0, t0, norm(b0), x1, t1, norm(b1))
+            case RLam(x, t, b):
+                return RLam(x, t, norm(b))
+            case RApp(f, a):
+                f2, a2 = norm(f), norm(a)
+                if isinstance(f2, RLam):
+                    spend()
+                    return let(f2.binder, a2, f2.body)
+                return RApp(f2, a2)
+            case RTyLam(v, b):
+                return RTyLam(v, norm(b))
+            case RTyApp(f, t):
+                return RTyApp(norm(f), t)
+            case RConsE(t, a):
+                return RConsE(t, norm(a))
+            case RDestE(t, a):
+                return RDestE(t, norm(a))
+            case RFold(t, s, x, xt, b):
+                return RFold(t, norm(s), x, xt, norm(b))
+            case RLet(x, a, b):
+                return let(x, norm(a), norm(b))
+        raise RecTypeError(f"not a recurrence expression: {e!r}")
+
+    def let(x: str, a: RecExpr, b: RecExpr) -> RecExpr:
+        uses = recursive_occurrences(b, x)
+        if uses == 0:
+            spend()
+            return b
+        if uses == 1 or isinstance(a, (RVar, RZero, ROne, RUnitE)):
+            spend()
+            return norm(reference_subst_rec(b, x, a))
+        return RLet(x, a, b)
+
+    return norm(e)

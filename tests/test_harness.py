@@ -417,6 +417,24 @@ def test_cli_check_local_let_of_an_unsolved_hole_exits_one(tmp_path, capsys):
                    "(annotate with x[ty] or a constructor type argument)\n")
 
 
+def test_cli_superscript_digit_is_an_unexpected_character(tmp_path, capsys):
+    # '\u00b2'.isdigit() holds but int() cannot read it: the lexer takes only
+    # decimal digits, so it is reported like any other stray character
+    f = tmp_path / "sup.src"
+    f.write_text("let f = fn (x: nat) => #\u00b2;\n")
+    code, out, err = _run(capsys, "check", str(f))
+    assert code == 1 and out == ""
+    assert err == "costrec: 1:25: unexpected character '\u00b2'\n"
+    f.write_text("let f = fn (x: nat) => x;\nmain = f #\u00b2;\n")
+    code, out, err = _run(capsys, "eval", str(f))
+    assert code == 1 and out == ""
+    assert err == "costrec: 2:11: unexpected character '\u00b2'\n"
+    # a decimal digit of another script is still a digit
+    f.write_text("let three = #\u0663;\n")
+    code, out, _ = _run(capsys, "check", str(f))
+    assert code == 0 and "three : nat" in out
+
+
 def test_cli_analysis_errors_exit_one_without_traceback(capsys, monkeypatch):
     for exc_type in (ModelError, HarnessError, EvalError, ExtractError,
                      RecTypeError, UnsupportedFeature, RecursionError):

@@ -3,10 +3,14 @@
 term's free variables (``_fv``) and occurrence counts (``_occ``).  Each must
 equal a fresh recursive walk (``tests/reference.py``) wherever it is read,
 none may be kept where a hole's later solution could change it, and each
-is computed at most once per node.
+is computed at most once per node.  The simplifier, which marks its normal
+forms ``_normal`` and keeps untouched nodes, must print as the reference
+simplifier that renormalizes every node, and must rebuild only what a
+rewrite touches.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -14,11 +18,11 @@ import pytest
 from conftest import CORPUS_DIR, CORPUS_FILES, POLY_LET, corpus_checked, corpus_extracted
 from reference import (
     recursive_contains_meta, recursive_free_tyvars, recursive_occurrences,
-    recursive_rec_free_vars,
+    recursive_rec_free_vars, reference_simplify,
 )
 from costrec import rec_lang, typecheck
 from costrec.extract import extract_program
-from costrec.rec_lang import RecExpr, rec_free_vars, simplify
+from costrec.rec_lang import RecExpr, pretty_rec, rec_free_vars, simplify
 from costrec.source_ast import (
     NAT_TYPE, FArrow, FConst, FProd, FRec, FSum, TArrow, TProd, TUnit, TVar,
     free_tyvars, iter_subexprs, parse_program, parse_type, subst_tyvars,
@@ -283,3 +287,73 @@ def test_fact_computations_per_node_do_not_grow(monkeypatch):
     large = _computations_per_node(monkeypatch, 4)
     for fact in small:
         assert large[fact] <= small[fact], (fact, small, large)
+
+
+# ---------------------------------------------------------------------------
+# The simplifier against the one that renormalizes every node
+# ---------------------------------------------------------------------------
+
+
+def _check_simplify_matches_reference(monkeypatch, extracted, where) -> None:
+    for name, binding in extracted.bindings.items():
+        for what in ("complexity", "potential"):
+            term = getattr(binding, what)
+            monkeypatch.setattr(rec_lang, "_fresh", itertools.count())
+            expected = pretty_rec(reference_simplify(term))
+            monkeypatch.setattr(rec_lang, "_fresh", itertools.count())
+            out = simplify(term)
+            assert pretty_rec(out) == expected, (where, name, what)
+            assert pretty_rec(reference_simplify(out)) == expected, (where, name, what)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_simplify_prints_as_the_reference_on_the_corpus(monkeypatch, name):
+    _check_simplify_matches_reference(monkeypatch, extract_program(corpus_checked(name)), name)
+
+
+def test_simplify_prints_as_the_reference_on_composed_maps(monkeypatch):
+    for depth in range(1, 5):
+        checked = check_program(parse_program(_composed_maps(depth)))
+        _check_simplify_matches_reference(monkeypatch, extract_program(checked), depth)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simplify_prints_as_the_reference_on_random_programs(monkeypatch, seed):
+    text = _Programs(seed).program()
+    checked = check_program(parse_program(text))
+    _check_simplify_matches_reference(monkeypatch, extract_program(checked), (seed, text))
+
+
+def _simplify_work(monkeypatch, depth: int) -> tuple[int, int]:
+    """Simplifying c_depth's complexity: the nodes of the result that are
+    not nodes of the input, and the rewrites of a node already rewritten
+    (each compound node the simplifier rewrites passes through
+    ``_rebuilt``).
+    """
+    checked = check_program(parse_program(_composed_maps(depth)))
+    term = extract_program(checked).bindings[f"c{depth}"].complexity
+    before = {id(node) for node in _subterms(term)}
+    rewritten = []
+
+    def counting(e, *fields):
+        rewritten.append(e)
+        return rebuilt(e, *fields)
+
+    rebuilt = rec_lang._rebuilt
+    monkeypatch.setattr(rec_lang, "_rebuilt", counting)
+    out = simplify(term)
+    monkeypatch.undo()
+    built = len({id(node) for node in _subterms(out)} - before)
+    return built, len(rewritten) - len({id(e) for e in rewritten})
+
+
+def test_simplify_rebuilds_only_what_it_rewrites(monkeypatch):
+    # each level nests the previous map's term unchanged.  Only the spine
+    # that the inlinings rewrite is new: 12 nodes at every depth, where
+    # rebuilding every node of each inlined copy built 65 and 89.  And no
+    # node is rewritten twice, where normalizing each inlined copy again
+    # made 114 and 158 repeat rewrites
+    small_built, small_again = _simplify_work(monkeypatch, 2)
+    large_built, large_again = _simplify_work(monkeypatch, 4)
+    assert large_built <= small_built, (small_built, large_built)
+    assert small_again == large_again == 0

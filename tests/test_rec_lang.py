@@ -1,14 +1,20 @@
+import dataclasses
+import random
+
 import pytest
 
-from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_extracted
+from conftest import CORPUS_FILES, CORPUS_FUNCTIONS, corpus_checked, corpus_extracted
 from reference import map_macro, rec_alpha_eq
 from costrec.rec_lang import (
     RApp, RArrow, RC, RCase, RConsE, RDestE, RecElab, RecTypeError, RFold,
     RForall, RInd, RInj, RLam, RLet, ROne, RPair, RPlus, RProd, RProj, RSConst,
     RSRec, RSSum, RSum, RTVar, RTyApp, RTyLam, RUnit, RUnitE, RVar, RZero,
     check_rec, pretty_rec,
-    rec_free_vars, simplify, subst_rec, subst_rec_shape, subst_rec_type_in_expr,
+    RecExpr, rec_free_vars, simplify, subst_rec, subst_rec_shape, subst_rec_type_in_expr,
 )
+from costrec.extract import ExtractedProgram, extract_program
+from costrec.harness import apply_bound, gen_value, prepare
+from costrec.models import value_potential
 
 NAT_REC = RInd(RSSum(RSConst(RUnit()), RSRec()), "nat")
 
@@ -163,6 +169,15 @@ def test_simplify_terminates_within_budget():
     assert rec_alpha_eq(out, RVar("z"))
 
 
+def test_simplify_recurses_once_per_level():
+    # 700 nested pairs fit under the default recursion limit only when
+    # normalizing a node takes a single stack frame
+    e = RUnitE()
+    for _ in range(700):
+        e = RPair(e, RUnitE())
+    assert simplify(e) is e
+
+
 def test_substitution_capture_avoidance():
     # (fn y => x) with x := y must rename the binder
     body = RLam("y", RC(), RVar("x"))
@@ -170,6 +185,62 @@ def test_substitution_capture_avoidance():
     assert isinstance(out, RLam)
     assert out.binder != "y"
     assert rec_alpha_eq(out.body, RVar("y"), {out.binder: out.binder})
+
+
+def _assert_shares(before, after, name: str) -> None:
+    """``after`` is ``before`` wherever ``name`` is not free, node for node."""
+    if name not in rec_free_vars(before):
+        assert after is before
+        return
+    assert type(after) is type(before)
+    for field in before.__match_args__:
+        child = getattr(before, field)
+        if isinstance(child, RecExpr):
+            _assert_shares(child, getattr(after, field), name)
+
+
+def test_substitution_returns_untouched_subterms_as_they_are():
+    # no binder is named q.x, so no binder is renamed: only the paths to
+    # the occurrences of the substituted name are rebuilt
+    substitutions = 0
+    for name in CORPUS_FILES:
+        for binding in corpus_extracted(name).bindings.values():
+            stack = [binding.complexity]
+            while stack:
+                node = stack.pop()
+                for x in rec_free_vars(node):
+                    _assert_shares(node, subst_rec(node, x, RVar("q.x")), x)
+                    substitutions += 1
+                stack.extend(getattr(node, f) for f in node.__match_args__
+                             if isinstance(getattr(node, f), RecExpr))
+    assert substitutions > 1000
+    # a binder that would capture the value is not renamed when the name
+    # does not occur below it
+    e = RLam("y", RC(), RPlus(RVar("y"), ROne()))
+    assert subst_rec(e, "x", RVar("y")) is e
+    assert subst_rec(RPair(e, RVar("x")), "x", RVar("y")).left is e
+
+
+def test_simplify_keeps_the_exact_denotation_on_the_corpus():
+    # simplification is checked in all six models by acceptance 8; here the
+    # exact model alone compares results at generated arguments, once
+    rng = random.Random(8)
+    for name in CORPUS_FILES:
+        checked = corpus_checked(name)
+        extracted = extract_program(checked)
+        simplified = ExtractedProgram({
+            fn: dataclasses.replace(b, complexity=simplify(b.complexity),
+                                    potential=simplify(b.potential))
+            for fn, b in extracted.bindings.items()})
+        for fn in CORPUS_FUNCTIONS[name]:
+            before = prepare(checked, fn, ("exact",), extracted)
+            after = prepare(checked, fn, ("exact",), simplified)
+            (model, cost0, pot0), (_, cost1, pot1) = before.denoted["exact"], after.denoted["exact"]
+            for _ in range(3):
+                args = [gen_value(t, 5, rng) for t in before.arg_types]
+                pots = [value_potential(model, v, t) for v, t in zip(args, before.arg_types)]
+                assert (apply_bound(model, cost0, pot0, pots)
+                        == apply_bound(model, cost1, pot1, pots)), (name, fn)
 
 
 def test_pretty_rec_prints():

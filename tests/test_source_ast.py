@@ -13,7 +13,7 @@ from costrec.source_ast import (
     BOOL, FConst, FProd, FRec, FSum, Inj, Lam, NAT_TYPE, SourceError, TInd,
     TProd, TSum, TUnit, TVar, Unit, Var, VCons, VInj, free_tyvars,
     iter_subexprs, numeral, parse_expr, parse_program, parse_type, pretty,
-    subst_shape, Cons,
+    pretty_type, subst_shape, Cons,
 )
 from costrec.typecheck import check_program
 
@@ -182,3 +182,24 @@ def test_no_hole_outlives_checking(name):
             args = [gen_value(t, 10, rng) for t in prepared.arg_types]
             result = apply_function(env, fn, args).value
             assert not holes(result), (fn, pretty(result))
+
+
+@pytest.mark.parametrize("body, shown", [
+    ("S(Z)", "nat"),
+    ("cons(#1, nil)", "list<nat>"),
+    ("node(cons(#1, nil), emp, emp)", "tree<list<nat>>"),
+])
+def test_constructor_sugar_types_print_by_datatype_name(body, shown):
+    # instantiated at holes, the type has no declaration label; the printer
+    # names the standard shapes as instantiating the declaration would
+    checked = check_program(parse_program(f"let f = fn (u: unit) => {body};"))
+    ty = checked.schemes["f"].body
+    assert ty.cod.label is None
+    assert pretty_type(ty) == f"unit -> {shown}"
+
+
+def test_a_user_datatype_without_its_label_keeps_the_mu_form():
+    src = ("type rose<a> = mu t. leaf | br(a, t, t, t);\n"
+           "let f = fn (u: unit) => br(#1, leaf, leaf, leaf);\n")
+    checked = check_program(parse_program(src))
+    assert pretty_type(checked.schemes["f"].body) == "unit -> (mu t. unit + nat * t * t * t)"
